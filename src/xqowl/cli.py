@@ -244,6 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     except XqowlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nested too deeply (maximum recursion depth exceeded)",
+              file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,8 +5,11 @@ the TBox (subclass/equivalence, role hierarchy, inverse/symmetric flips,
 length-2 chains, domain/range, data-property domains).  Right-hand-side
 existentials are materialized with fresh witness individuals, one per
 (context, conjunct position); witnesses never trigger further witness
-creation, which bounds the saturation.  Contradictions are collected as
-ClashReport values after the fixpoint, never raised:
+creation, which bounds the saturation.  Every role fact is also indexed
+by (individual, role, inverse?), so rules, membership tests and clash
+checks look up an individual's neighbours instead of scanning all role
+facts.  Contradictions are collected as ClashReport values after the
+fixpoint, never raised:
 
 * disjoint-classes   culprits (individual, class, class)
 * disjoint-roles     culprits (subject, role, role, object)
@@ -23,8 +26,7 @@ superclass (an inconsistent seed subsumes vacuously).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .errors import InconsistentOntologyError, UnsupportedFeatureError
 from .owl import (
@@ -45,13 +47,56 @@ class ClashReport:
     culprits: tuple[str, ...]
 
 
+class _Facts:
+    """Membership tests over class_facts, role_facts, fresh and _index.
+
+    _index maps (individual, role, inverse?) to the individual's neighbours
+    over that role, or over its inverse, so no test scans role_facts.
+    """
+
+    def neighbours(self, individual: str, role: str,
+                   inverse: bool) -> set[str] | tuple[()]:
+        return self._index.get((individual, role, inverse), ())
+
+    def named_fillers(self, individual: str, role: str,
+                      filler: ClassExpr) -> set[str]:
+        """Named role successors in filler (witnesses are unconstrained)."""
+        return {o for o in self.neighbours(individual, role, False)
+                if o not in self.fresh and self.check(o, filler)}
+
+    def check(self, individual: str, expr: ClassExpr) -> bool:
+        """Structural membership test against the saturated facts."""
+        if isinstance(expr, Thing):
+            return True
+        if isinstance(expr, Nothing):
+            return (individual, NOTHING_IRI) in self.class_facts
+        if isinstance(expr, Named):
+            return (individual, expr.iri) in self.class_facts
+        if isinstance(expr, And):
+            return all(self.check(individual, p) for p in expr.parts)
+        if isinstance(expr, ExistsSelf):
+            return (individual, expr.role.iri, individual) in self.role_facts
+        if isinstance(expr, (Exists, Forall)):
+            successors = self.neighbours(individual, expr.role.iri,
+                                         isinstance(expr.role, Inverse))
+            test = any if isinstance(expr, Exists) else all
+            return test(self.check(b, expr.filler) for b in successors)
+        if not isinstance(expr.role, Role):
+            raise UnsupportedFeatureError(
+                "cardinality over an inverse role is not supported")
+        return len(self.named_fillers(individual, expr.role.iri,
+                                      expr.filler)) <= expr.n
+
+
 @dataclass
-class SaturatedAbox:
+class SaturatedAbox(_Facts):
     class_facts: set[tuple[str, str]]
     role_facts: set[tuple[str, str, str]]
     data_facts: set[tuple[str, str, Literal]]
     fresh: frozenset[str]
     clashes: tuple[ClashReport, ...]
+    _index: dict[tuple[str, str, bool], set[str]] = field(repr=False,
+                                                          compare=False)
 
     @property
     def clash(self) -> ClashReport | None:
@@ -81,62 +126,15 @@ def display_role(role: RoleExpr) -> str:
     return role.iri if isinstance(role, Role) else f"inverse({role.iri})"
 
 
-def _check(class_facts: set, role_facts: set, fresh: frozenset | set,
-           individual: str, expr: ClassExpr) -> bool:
-    """Structural membership test against a set of saturated facts."""
-    if isinstance(expr, Thing):
-        return True
-    if isinstance(expr, Nothing):
-        return (individual, NOTHING_IRI) in class_facts
-    if isinstance(expr, Named):
-        return (individual, expr.iri) in class_facts
-    if isinstance(expr, And):
-        return all(_check(class_facts, role_facts, fresh, individual, p)
-                   for p in expr.parts)
-    if isinstance(expr, Exists):
-        if isinstance(expr.role, Role):
-            successors = (o for (s, r, o) in role_facts
-                          if s == individual and r == expr.role.iri)
-        else:
-            successors = (s for (s, r, o) in role_facts
-                          if o == individual and r == expr.role.iri)
-        return any(_check(class_facts, role_facts, fresh, b, expr.filler)
-                   for b in successors)
-    if isinstance(expr, ExistsSelf):
-        return (individual, expr.role.iri, individual) in role_facts
-    if isinstance(expr, Forall):
-        if isinstance(expr.role, Role):
-            successors = (o for (s, r, o) in role_facts
-                          if s == individual and r == expr.role.iri)
-        else:
-            successors = (s for (s, r, o) in role_facts
-                          if o == individual and r == expr.role.iri)
-        return all(_check(class_facts, role_facts, fresh, b, expr.filler)
-                   for b in successors)
-    # MaxCard: count distinct named fillers (witnesses are unconstrained)
-    if not isinstance(expr.role, Role):
-        raise UnsupportedFeatureError(
-            "cardinality over an inverse role is not supported")
-    fillers = {o for (s, r, o) in role_facts
-               if s == individual and r == expr.role.iri and o not in fresh
-               and _check(class_facts, role_facts, fresh, o, expr.filler)}
-    return len(fillers) <= expr.n
-
-
 def satisfies(sat: SaturatedAbox, individual: str, expr: ClassExpr) -> bool:
-    return _check(sat.class_facts, sat.role_facts, sat.fresh, individual, expr)
+    return sat.check(individual, expr)
 
 
-def _named_role_iri(role: RoleExpr, where: str) -> str:
-    if not isinstance(role, Role):
-        raise UnsupportedFeatureError(f"an inverse role in {where} is not supported")
-    return role.iri
-
-
-class _Engine:
+class _Engine(_Facts):
     def __init__(self, ont: Ontology):
         self.class_facts: set[tuple[str, str]] = set()
         self.role_facts: set[tuple[str, str, str]] = set()
+        self._index: dict[tuple[str, str, bool], set[str]] = {}
         self.data_facts: set[tuple[str, str, Literal]] = set()
         self.fresh: set[str] = set()
         self.named = set(ont.all_individuals())
@@ -161,13 +159,19 @@ class _Engine:
 
     # -- compilation -----------------------------------------------------------
 
+    @staticmethod
+    def _named_role_iri(role: RoleExpr, where: str) -> str:
+        if not isinstance(role, Role):
+            raise UnsupportedFeatureError(f"an inverse role in {where} is not supported")
+        return role.iri
+
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
             if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sub.role, Role) \
                     and isinstance(axiom.sup, Nothing):
                 self.irreflexive.add(axiom.sub.role.iri)
             elif isinstance(axiom.sup, MaxCard):
-                iri = _named_role_iri(axiom.sup.role, "a cardinality restriction")
+                iri = self._named_role_iri(axiom.sup.role, "a cardinality restriction")
                 self.static_limits.append((axiom.sub, axiom.sup.n, iri,
                                            axiom.sup.filler))
             else:
@@ -183,9 +187,9 @@ class _Engine:
             else:
                 self.flips.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
         elif isinstance(axiom, RoleChain):
-            self.chains.append((_named_role_iri(axiom.first, "a role chain"),
-                                _named_role_iri(axiom.second, "a role chain"),
-                                _named_role_iri(axiom.implied, "a role chain")))
+            self.chains.append((self._named_role_iri(axiom.first, "a role chain"),
+                                self._named_role_iri(axiom.second, "a role chain"),
+                                self._named_role_iri(axiom.implied, "a role chain")))
         elif isinstance(axiom, InverseRoles):
             self.flips.setdefault(axiom.left, set()).add(axiom.right)
             self.flips.setdefault(axiom.right, set()).add(axiom.left)
@@ -225,17 +229,19 @@ class _Engine:
             self.assert_expr(assertion.individual, assertion.cls,
                              ("abox", index), materialize=True)
         elif isinstance(assertion, RoleAssertion):
-            self.role_facts.add((assertion.subject, assertion.role,
-                                 assertion.object))
+            self.add_role(assertion.subject, assertion.role, assertion.object)
         else:
             self.data_facts.add((assertion.subject, assertion.prop,
                                  assertion.value))
 
     # -- rule application --------------------------------------------------------
 
-    def check(self, individual: str, expr: ClassExpr) -> bool:
-        return _check(self.class_facts, self.role_facts, self.fresh,
-                      individual, expr)
+    def add_role(self, subject: str, role: str, obj: str) -> None:
+        """The one writer of role_facts, which keeps _index in step."""
+        if (subject, role, obj) not in self.role_facts:
+            self.role_facts.add((subject, role, obj))
+            self._index.setdefault((subject, role, False), set()).add(obj)
+            self._index.setdefault((obj, role, True), set()).add(subject)
 
     def assert_expr(self, individual: str, expr: ClassExpr, key: tuple,
                     materialize: bool) -> None:
@@ -254,7 +260,7 @@ class _Engine:
             for position, part in enumerate(expr.parts):
                 self.assert_expr(individual, part, key + (position,), materialize)
         elif isinstance(expr, ExistsSelf):
-            self.role_facts.add((individual, expr.role.iri, individual))
+            self.add_role(individual, expr.role.iri, individual)
         elif isinstance(expr, Exists):
             if self.check(individual, expr) or not materialize:
                 return
@@ -264,12 +270,12 @@ class _Engine:
                 self._witnesses[key] = witness
                 self.fresh.add(witness)
             if isinstance(expr.role, Role):
-                self.role_facts.add((individual, expr.role.iri, witness))
+                self.add_role(individual, expr.role.iri, witness)
             else:
-                self.role_facts.add((witness, expr.role.iri, individual))
+                self.add_role(witness, expr.role.iri, individual)
             self.assert_expr(witness, expr.filler, key + ("filler",), True)
         elif isinstance(expr, MaxCard):
-            iri = _named_role_iri(expr.role, "a cardinality restriction")
+            iri = self._named_role_iri(expr.role, "a cardinality restriction")
             self.dynamic_limits.add((individual, expr.n, iri, expr.filler))
         else:
             raise UnsupportedFeatureError(
@@ -283,16 +289,15 @@ class _Engine:
             size = (len(self.class_facts), len(self.role_facts), len(self.fresh))
             for subject, role, obj in sorted(self.role_facts):
                 for sup in self.subroles.get(role, ()):
-                    self.role_facts.add((subject, sup, obj))
+                    self.add_role(subject, sup, obj)
                 for flipped in self.flips.get(role, ()):
-                    self.role_facts.add((obj, flipped, subject))
+                    self.add_role(obj, flipped, subject)
             for first, second, implied in self.chains:
-                hops = [(s, o) for (s, r, o) in self.role_facts if r == first]
-                seconds = [(s, o) for (s, r, o) in self.role_facts if r == second]
-                for a, b in hops:
-                    for b2, c in seconds:
-                        if b == b2:
-                            self.role_facts.add((a, implied, c))
+                # both hops read the facts as they were before this chain
+                derived = [(a, c) for (a, r, b) in self.role_facts if r == first
+                           for c in self.neighbours(b, second, False)]
+                for a, c in derived:
+                    self.add_role(a, implied, c)
             for subject, role, obj in sorted(self.role_facts):
                 for prop, cls in self.domains:
                     if prop == role:
@@ -343,10 +348,7 @@ class _Engine:
                   for individual in pool if self.check(individual, context)]
         limits += sorted(self.dynamic_limits, key=lambda l: (l[0], l[2], l[1]))
         for individual, bound, role, filler in limits:
-            fillers = sorted({o for (s, r, o) in self.role_facts
-                              if s == individual and r == role
-                              and o not in self.fresh
-                              and self.check(o, filler)})
+            fillers = sorted(self.named_fillers(individual, role, filler))
             if len(fillers) > bound:
                 found.add(("max-cardinality",
                            (individual, role) + tuple(fillers)))
@@ -359,7 +361,8 @@ class _Engine:
                              role_facts=self.role_facts,
                              data_facts=self.data_facts,
                              fresh=frozenset(self.fresh),
-                             clashes=self.collect_clashes())
+                             clashes=self.collect_clashes(),
+                             _index=self._index)
 
 
 def saturate(ont: Ontology) -> SaturatedAbox:
@@ -417,9 +420,7 @@ class Reasoner:
         return (subject, role, obj) in self.saturation.role_facts
 
     def property_values(self, subject: str, role: str) -> set[str]:
-        sat = self.saturation
-        return {o for (s, r, o) in sat.role_facts
-                if s == subject and r == role and o not in sat.fresh}
+        return self.saturation.named_fillers(subject, role, Thing())
 
     def is_subsumed(self, sub: ClassExpr, sup: ClassExpr) -> bool:
         key = (sub, sup)
@@ -459,36 +460,3 @@ class Reasoner:
         if iri == THING_IRI:
             return Thing()
         return Named(iri)
-
-
-@lru_cache(maxsize=128)
-def _shared(ont: Ontology) -> Reasoner:
-    return Reasoner(ont)
-
-
-def is_consistent(ont: Ontology) -> bool:
-    return _shared(ont).is_consistent()
-
-
-def instances(ont: Ontology, expr: ClassExpr) -> set[str]:
-    return _shared(ont).instances(expr)
-
-
-def is_instance_of(ont: Ontology, individual: str, expr: ClassExpr) -> bool:
-    return _shared(ont).is_instance_of(individual, expr)
-
-
-def holds(ont: Ontology, subject: str, role: str, obj: str) -> bool:
-    return _shared(ont).holds(subject, role, obj)
-
-
-def property_values(ont: Ontology, subject: str, role: str) -> set[str]:
-    return _shared(ont).property_values(subject, role)
-
-
-def is_subsumed(ont: Ontology, sub: ClassExpr, sup: ClassExpr) -> bool:
-    return _shared(ont).is_subsumed(sub, sup)
-
-
-def subclasses(ont: Ontology, expr: ClassExpr, direct: bool = False) -> set[str]:
-    return _shared(ont).subclasses(expr, direct)

@@ -269,8 +269,9 @@ def eval_bgp(graph: RdfGraph, patterns: tuple[TriplePattern, ...] | list[TripleP
              variables: list[str] | None = None) -> SolutionTable:
     """Join the pattern list against the graph.
 
-    Returns distinct rows over the patterns' variables, sorted by their
-    bound terms so the outcome is deterministic.
+    Returns the rows over the patterns' variables in join order. They are
+    distinct: the graph's triples are, and each pattern position is either
+    ground or a variable, so distinct matches give distinct bindings.
     """
     if variables is None:
         variables = SparqlQuery(None, tuple(patterns)).variables()
@@ -289,10 +290,7 @@ def eval_bgp(graph: RdfGraph, patterns: tuple[TriplePattern, ...] | list[TripleP
                 if extended is not None:
                     next_rows.append(extended)
         rows = next_rows
-    unique = {tuple(sorted(row.items())): row for row in rows}
-    ordered = sorted(unique.values(),
-                     key=lambda r: tuple(term_key(r[v]) for v in variables if v in r))
-    return SolutionTable(variables=list(variables), rows=ordered)
+    return SolutionTable(variables=list(variables), rows=rows)
 
 
 def _bind(row: dict[str, Term], pattern: TriplePattern, triple) -> dict[str, Term] | None:

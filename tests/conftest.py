@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "xqowl" / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = SRC / "xqowl" / "fixtures"
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, SRC, fixture_text
 from xqowl.cli import main
 from xqowl.owl import load_ontology
 from xqowl.rdf import parse_rdfxml
@@ -73,6 +77,20 @@ class TestExitCodes:
             "--ontology", fx("socialnetwork.owl"), "--individual", "jesus")
         assert code == 2
         assert "--property" in err
+
+    def test_deeply_nested_document_is_an_error_not_a_traceback(self, tmp_path):
+        deep = tmp_path / "deep.xml"
+        deep.write_text("<a>" * 3000 + "</a>" * 3000)
+        prog = tmp_path / "p.xq"
+        prog.write_text(f'<r>{{doc("{deep}")}}</r>')
+        proc = subprocess.run(
+            [sys.executable, "-m", "xqowl.cli", "run", str(prog)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestRun:

@@ -10,11 +10,11 @@ import pytest
 from conftest import fixture_text
 from xqowl.errors import InconsistentOntologyError, UnsupportedFeatureError
 from xqowl.owl import (
-    And, ClassAssertion, DisjointClasses, DisjointRoles, Domain,
-    EquivalentClasses, Exists, Forall, Inverse, InverseRoles, MaxCard, Named,
-    Nothing, NOTHING_IRI, Ontology, Range, Role, RoleAssertion, RoleChain,
-    SubClassOf, SubRoleOf, Thing, functional_axiom, irreflexive_axiom,
-    load_ontology, symmetric_axiom,
+    And, ClassAssertion, ClassExpr, DisjointClasses, DisjointRoles, Domain,
+    EquivalentClasses, Exists, ExistsSelf, Forall, Inverse, InverseRoles,
+    MaxCard, Named, Nothing, NOTHING_IRI, Ontology, Range, Role, RoleAssertion,
+    RoleChain, SubClassOf, SubRoleOf, Thing, functional_axiom,
+    irreflexive_axiom, load_ontology, symmetric_axiom,
 )
 from xqowl.rdf import parse_rdfxml
 from xqowl.reasoner import (
@@ -269,6 +269,29 @@ class TestWitnesses:
         witness = next(iter(sat.fresh))
         assert (witness, ex("p"), ex("a")) in sat.role_facts
 
+    def test_chain_pass_reads_the_facts_from_before_it(self):
+        # Ten paths x0 -r-> x1 -r-> x2 -r-> x3 with A(x0) and B(x3). The first
+        # round's chain pass reads only the facts from before it, so x0
+        # reaches x2 but not x3 when the existential fires, and every x0
+        # gets a witness, named in pool order.
+        r = ex("r")
+        paths = [[ex(f"k{k}x{i}") for i in range(4)] for k in range(10)]
+        abox = set()
+        for path in paths:
+            abox |= {RoleAssertion(a, r, b) for a, b in zip(path, path[1:])}
+            abox |= {ClassAssertion(path[0], Named(ex("A"))),
+                     ClassAssertion(path[3], Named(ex("B")))}
+        sat = saturate(ont_of(
+            tbox={RoleChain(Role(r), Role(r), Role(r)),
+                  SubClassOf(Named(ex("A")), Exists(Role(r), Named(ex("B"))))},
+            abox=abox))
+        witnesses = [f"urn:witness:w{k + 1}" for k in range(10)]
+        assert sat.fresh == frozenset(witnesses)
+        assert sat.role_facts == {
+            (path[i], r, path[j]) for path in paths
+            for i in range(4) for j in range(i + 1, 4)} | {
+            (path[0], r, w) for path, w in zip(paths, witnesses)}
+
 
 class TestInstanceRetrieval:
     def test_activity_instances(self, social_reasoner):
@@ -398,18 +421,6 @@ class TestReasonerFacade:
     def test_saturation_is_cached(self, social):
         reasoner = Reasoner(social)
         assert reasoner.saturation is reasoner.saturation
-
-    def test_module_level_wrappers_agree(self, social, social_reasoner):
-        from xqowl import reasoner as module
-        assert module.is_consistent(social)
-        assert module.instances(social, Named(sn("popular"))) == \
-            social_reasoner.instances(Named(sn("popular")))
-        assert module.holds(social, sn("luis"), sn("friend_of"), sn("jesus"))
-        assert module.property_values(social, sn("event2"), sn("created_by")) == set()
-        assert module.is_subsumed(social, Named(sn("wall")), Named(sn("user_item")))
-        assert module.subclasses(social, Named(sn("activity")), direct=True) == {
-            sn("event"), sn("message")}
-        assert module.is_instance_of(social, sn("jesus"), Named(sn("user")))
 
 
 class TestUnsupported:
@@ -575,3 +586,69 @@ class TestRandomizedInvariants:
         sat = saturate(ont)
         bound = len(ont.all_individuals()) * exists_positions(ont)
         assert len(sat.fresh) <= bound
+
+
+# -- the role index against the scans it replaced ---------------------------------
+
+def scan_check(sat, individual: str, expr: ClassExpr) -> bool:
+    """Membership by scanning every role fact, as before the role index."""
+    if isinstance(expr, Thing):
+        return True
+    if isinstance(expr, Nothing):
+        return (individual, NOTHING_IRI) in sat.class_facts
+    if isinstance(expr, Named):
+        return (individual, expr.iri) in sat.class_facts
+    if isinstance(expr, And):
+        return all(scan_check(sat, individual, p) for p in expr.parts)
+    if isinstance(expr, Exists):
+        if isinstance(expr.role, Role):
+            successors = (o for (s, r, o) in sat.role_facts
+                          if s == individual and r == expr.role.iri)
+        else:
+            successors = (s for (s, r, o) in sat.role_facts
+                          if o == individual and r == expr.role.iri)
+        return any(scan_check(sat, b, expr.filler) for b in successors)
+    if isinstance(expr, ExistsSelf):
+        return (individual, expr.role.iri, individual) in sat.role_facts
+    if isinstance(expr, Forall):
+        if isinstance(expr.role, Role):
+            successors = (o for (s, r, o) in sat.role_facts
+                          if s == individual and r == expr.role.iri)
+        else:
+            successors = (s for (s, r, o) in sat.role_facts
+                          if o == individual and r == expr.role.iri)
+        return all(scan_check(sat, b, expr.filler) for b in successors)
+    return len(scan_fillers(sat, individual, expr.role.iri, expr.filler)) <= expr.n
+
+
+def scan_fillers(sat, individual: str, role: str, filler: ClassExpr) -> set[str]:
+    return {o for (s, r, o) in sat.role_facts
+            if s == individual and r == role and o not in sat.fresh
+            and scan_check(sat, o, filler)}
+
+
+def check_index_against_scan(ont: Ontology) -> None:
+    reasoner = Reasoner(ont)
+    sat = reasoner.saturation
+    individuals = sorted(ont.all_individuals() | sat.fresh)
+    roles = sorted({r for (_, r, _) in sat.role_facts})
+    fillers = [Thing()] + [Named(c) for c in sorted({c for (_, c) in sat.class_facts})]
+    for role in roles:
+        exprs = [kind(r, filler) for filler in fillers
+                 for kind in (Exists, Forall) for r in (Role(role), Inverse(role))]
+        exprs += [MaxCard(1, Role(role), filler) for filler in fillers]
+        for individual in individuals:
+            for expr in exprs:
+                assert satisfies(sat, individual, expr) == \
+                    scan_check(sat, individual, expr), (individual, expr)
+            assert reasoner.property_values(individual, role) == \
+                scan_fillers(sat, individual, role, Thing())
+
+
+class TestRoleIndex:
+    def test_fixture_matches_the_scans(self, social):
+        check_index_against_scan(social)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_ontology_matches_the_scans(self, seed):
+        check_index_against_scan(random_ontology(random.Random(seed)))
