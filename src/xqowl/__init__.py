@@ -3,7 +3,7 @@ SELECT engine over RDF graphs and a native OWL reasoner.
 
 The package layers, bottom up:
 
-- xmltree / xpaths: XML node model, parsing, serialization, paths
+- xmltree / xpaths: XML node model, parsing, serialization, path steps
 - rdf: RDF terms, triples, graphs, RDF/XML reading, results writing
 - sparql: SPARQL SELECT subset (basic graph patterns with ORDER BY)
 - owl: OWL class/role expressions, axioms, loading and rendering
@@ -18,7 +18,6 @@ from .errors import (
     InconsistentOntologyError,
     NamespaceError,
     ParseError,
-    PathSyntaxError,
     RdfParseError,
     SparqlSyntaxError,
     UnsupportedFeatureError,
@@ -39,7 +38,7 @@ from .xmltree import (
     string_value,
     text,
 )
-from .xpaths import PathExpr, Step, eval_path, eval_steps, parse_path
+from .xpaths import Step, eval_steps
 from .rdf import (
     Iri,
     Literal,

@@ -26,10 +26,6 @@ class NamespaceError(ParseError):
     """A prefix was used without a namespace declaration in scope."""
 
 
-class PathSyntaxError(ParseError):
-    """Malformed path expression."""
-
-
 class RdfParseError(ParseError):
     """RDF/XML markup outside the supported subset, or ill-formed."""
 

@@ -27,15 +27,11 @@ from typing import Callable
 
 from . import xmltree
 from .errors import EvalError
-from .owl import Named, Ontology, axioms_to_xml, entities_to_xml
-from .rdf import rdf_from_document, write_sparql_results
+from .owl import OWL_NS, Named, Ontology, axioms_to_xml, entities_to_xml
+from .rdf import RDF_NS, XSD_NS, rdf_from_document, write_sparql_results
 from .reasoner import Reasoner
 from .sparql import eval_select, parse_sparql
 from .xmltree import QName, XmlNode, string_value
-
-RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-OWL_NS = "http://www.w3.org/2002/07/owl#"
-XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,7 @@ def _xq_instances(env, reasoner: list, cls: list) -> list:
     engine = reasoner_arg(reasoner, "xqowl:instances")
     iri = string_arg(cls, "xqowl:instances class")
     found = sorted(engine.instances(Named(iri)))
-    return entities_to_xml(found, None, QName(None, "instance"))
+    return entities_to_xml(found, QName(None, "instance"))
 
 
 @_register("xqowl", "subclasses", 2, 2)
@@ -275,7 +271,7 @@ def _xq_subclasses(env, reasoner: list, cls: list) -> list:
     engine = reasoner_arg(reasoner, "xqowl:subclasses")
     iri = string_arg(cls, "xqowl:subclasses class")
     found = sorted(engine.subclasses(Named(iri)))
-    return entities_to_xml(found, None, QName(None, "subclass"))
+    return entities_to_xml(found, QName(None, "subclass"))
 
 
 @_register("xqowl", "property-values", 3, 3)
@@ -284,7 +280,7 @@ def _xq_property_values(env, reasoner: list, ind: list, prop: list) -> list:
     subject = string_arg(ind, "xqowl:property-values individual")
     role = string_arg(prop, "xqowl:property-values property")
     found = sorted(engine.property_values(subject, role))
-    return entities_to_xml(found, None, QName(None, "value"))
+    return entities_to_xml(found, QName(None, "value"))
 
 
 @_register("xqowl", "axioms", 1, 1)

@@ -14,12 +14,14 @@ The language is a small XQuery-like core:
     Comparison::= Union (("=" | "!=") Union)?
     Union     ::= Path ("union" Path)*
     Path      ::= "/" Step ("/" Step)* | Primary ("/" Step)*
+    Step      ::= ("@" QName | QName | "*" | "text" "(" ")") Predicate*
+    Predicate ::= "[" ("@" QName "=" String | QName) "]"
     Primary   ::= String | Number | "$" NCName | "(" (Expr ("," Expr)*)? ")"
                 | QName "(" (Expr ("," Expr)*)? ")" | Constructor
                 | "document" "{" Expr "}"
 
-Steps follow the path grammar of xpaths (name test, "*", "text()",
-"@name", predicates). Direct element constructors carry literal text,
+Steps use the child axis, or the attribute axis after "@"; xpaths
+evaluates them. Direct element constructors carry literal text,
 nested constructors and enclosed expressions in braces; "{{" and "}}"
 escape literal braces. Whitespace-only literal content is boundary
 whitespace and is dropped.

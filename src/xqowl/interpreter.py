@@ -183,7 +183,7 @@ class Interpreter:
                     raise EvalError("a path step can only follow nodes, "
                                     f"not {value!r}")
                 contexts.append(value)
-        return list(eval_steps(contexts, list(expr.steps)))
+        return eval_steps(contexts, expr.steps)
 
     def _construct_element(self, ctor: ElementCtor, scope: dict[str, list]) -> XmlNode:
         attrs: list[tuple[xmltree.QName, str]] = []

@@ -4,7 +4,7 @@ Class and role expressions, TBox axioms and ABox assertions are frozen
 dataclasses.  :func:`load_ontology` reads them out of an :class:`RdfGraph`
 that uses the OWL RDF/XML vocabulary subset; :func:`axioms_to_xml` renders
 them back as entity-grouped RDF/XML, and :func:`entities_to_xml` renders
-plain IRI lists as element sequences.
+a list of IRIs as one item element per IRI.
 
 Three role characteristics are stored through fixed encodings rather than
 dedicated axiom kinds:
@@ -102,11 +102,6 @@ class Inverse:
 
 
 RoleExpr = Role | Inverse
-
-
-def inverse_of(role: RoleExpr) -> RoleExpr:
-    # Inverse holds a plain IRI, so double inversion collapses by construction.
-    return Inverse(role.iri) if isinstance(role, Role) else Role(role.iri)
 
 
 # -- axioms and assertions --------------------------------------------------------
@@ -820,10 +815,6 @@ def _assertion_key(assertion: Assertion) -> tuple:
     return (2, assertion.subject, assertion.prop, assertion.value.lexical)
 
 
-def entities_to_xml(iris: list[str], wrapper: QName | None,
-                    item: QName) -> list[XmlNode]:
-    """One item element per IRI (text = full IRI), optionally wrapped."""
-    items = [element(item, children=[text(iri)]) for iri in iris]
-    if wrapper is None:
-        return items
-    return [element(wrapper, children=items)]
+def entities_to_xml(iris: list[str], item: QName) -> list[XmlNode]:
+    """One item element per IRI, whose text is the full IRI."""
+    return [element(item, children=[text(iri)]) for iri in iris]

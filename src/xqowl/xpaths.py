@@ -1,28 +1,17 @@
-"""Path expressions over XML trees.
+"""Path step evaluation over XML trees.
 
-Grammar:
-
-    Path      ::= "/"? Step ("/" Step)*
-    Step      ::= ("self" "::")? NodeTest Predicate*
-    NodeTest  ::= QName | "*" | "@" QName | "text" "(" ")"
-    Predicate ::= "[" ("@" QName "=" StringLit | QName) "]"
-
-Axes are child (the default), attribute ("@") and self. Prefixes in a
-path may stay unresolved until evaluation, when the namespace
-environment supplies their IRIs.
+The steps are built by the host-language parser (hostlang): a child or
+attribute axis, a node test (a name, "*" or "text()") and predicates
+that test an attribute value or the presence of a child element. Every
+name in a step is already resolved to its namespace IRI, so evaluation
+compares expanded names only.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import NamespaceError, PathSyntaxError
 from .xmltree import QName, XmlNode, get_attribute
-
-NamespaceEnv = dict[str, str]
-
-_NAME_RE = re.compile(r"[^\W\d][\w.\-]*")
 
 
 @dataclass(frozen=True)
@@ -41,137 +30,22 @@ Predicate = AttrEquals | HasChild
 
 @dataclass(frozen=True)
 class Step:
-    axis: str  # "child" | "attribute" | "self"
+    axis: str  # "child" | "attribute"
     test: QName | str  # QName for a name test, "*" or "text()" otherwise
     predicates: tuple[Predicate, ...] = ()
 
 
-@dataclass(frozen=True)
-class PathExpr:
-    absolute: bool
-    steps: tuple[Step, ...] = field(default_factory=tuple)
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.take(literal):
-            raise PathSyntaxError(f"expected {literal!r} at offset {self.pos} in path "
-                                  f"{self.text!r}")
-
-    def name(self) -> str:
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise PathSyntaxError(f"expected a name at offset {self.pos} in path "
-                                  f"{self.text!r}")
-        self.pos = m.end()
-        return m.group()
-
-    def qname(self) -> QName:
-        first = self.name()
-        if self.peek() == ":" and not self.text.startswith("::", self.pos):
-            self.pos += 1
-            return QName(None, self.name(), prefix=first)
-        return QName(None, first)
-
-    def string(self) -> str:
-        quote = self.peek()
-        if quote not in ("'", '"'):
-            raise PathSyntaxError(f"expected a string literal at offset {self.pos}")
-        end = self.text.find(quote, self.pos + 1)
-        if end < 0:
-            raise PathSyntaxError("unterminated string literal in path")
-        value = self.text[self.pos + 1:end]
-        self.pos = end + 1
-        return value
-
-
-def parse_path(text: str) -> PathExpr:
-    scanner = _Scanner(text.strip())
-    absolute = scanner.take("/")
-    steps = [_parse_step(scanner)]
-    while scanner.take("/"):
-        steps.append(_parse_step(scanner))
-    if not scanner.eof():
-        raise PathSyntaxError(f"trailing input at offset {scanner.pos} in path {text!r}")
-    return PathExpr(absolute, tuple(steps))
-
-
-def _parse_step(scanner: _Scanner) -> Step:
-    axis = "child"
-    if scanner.take("@"):
-        axis = "attribute"
-        test: QName | str = scanner.qname()
-    elif scanner.take("*"):
-        test = "*"
-    else:
-        mark = scanner.pos
-        name = scanner.qname()
-        if name.prefix is None and scanner.take("::"):
-            if name.local != "self":
-                raise PathSyntaxError(f"unsupported axis {name.local!r} in path")
-            axis = "self"
-            if scanner.take("*"):
-                test = "*"
-            elif scanner.take("@"):
-                raise PathSyntaxError("self axis cannot select attributes")
-            else:
-                test = scanner.qname()
-        elif name.prefix is None and name.local == "text" and scanner.take("()"):
-            test = "text()"
-        else:
-            scanner.pos = mark
-            test = scanner.qname()
-    predicates = []
-    while scanner.take("["):
-        if scanner.take("@"):
-            attr = scanner.qname()
-            scanner.expect("=")
-            predicates.append(AttrEquals(attr, scanner.string()))
-        else:
-            predicates.append(HasChild(scanner.qname()))
-        scanner.expect("]")
-    return Step(axis, test, tuple(predicates))
-
-
-def _resolve(name: QName, env: NamespaceEnv | None) -> QName:
-    if name.prefix is not None and name.namespace is None:
-        if env is None or name.prefix not in env:
-            raise NamespaceError(f"undeclared prefix {name.prefix!r} in path")
-        return QName(env[name.prefix], name.local, prefix=name.prefix)
-    return name
-
-
-def _matches_predicate(node: XmlNode, pred: Predicate, env: NamespaceEnv | None) -> bool:
+def _matches_predicate(node: XmlNode, pred: Predicate) -> bool:
     if isinstance(pred, AttrEquals):
-        return get_attribute(node, _resolve(pred.name, env)) == pred.value
-    wanted = _resolve(pred.name, env)
-    return any(c.kind == "element" and c.name == wanted for c in node.children)
+        return get_attribute(node, pred.name) == pred.value
+    return any(c.kind == "element" and c.name == pred.name for c in node.children)
 
 
-def _eval_step(node: XmlNode, step: Step, env: NamespaceEnv | None) -> list[XmlNode]:
+def _eval_step(node: XmlNode, step: Step) -> list[XmlNode]:
     if step.axis == "attribute":
         if node.kind != "element":
             return []
-        wanted = _resolve(step.test, env)  # type: ignore[arg-type]
-        selected = [a for a in node.attributes if a.name == wanted]
-    elif step.axis == "self":
-        selected = [node]
+        selected = [a for a in node.attributes if a.name == step.test]
     else:
         selected = list(node.children) if node.kind in ("element", "document") else []
     out = []
@@ -183,15 +57,14 @@ def _eval_step(node: XmlNode, step: Step, env: NamespaceEnv | None) -> list[XmlN
             if cand.kind != "element":
                 continue
         elif step.axis != "attribute":
-            if cand.kind != "element" or cand.name != _resolve(step.test, env):
+            if cand.kind != "element" or cand.name != step.test:
                 continue
-        if all(_matches_predicate(cand, p, env) for p in step.predicates):
+        if all(_matches_predicate(cand, p) for p in step.predicates):
             out.append(cand)
     return out
 
 
-def eval_steps(contexts: list[XmlNode], steps: tuple[Step, ...],
-               env: NamespaceEnv | None = None) -> list[XmlNode]:
+def eval_steps(contexts: list[XmlNode], steps: tuple[Step, ...]) -> list[XmlNode]:
     """Apply steps to each context in turn, deduplicating by node
     identity and keeping document order (nodes of one tree are created
     in document order, so node_id is the sort key)."""
@@ -200,21 +73,10 @@ def eval_steps(contexts: list[XmlNode], steps: tuple[Step, ...],
         seen: set[int] = set()
         next_nodes: list[XmlNode] = []
         for node in current:
-            for result in _eval_step(node, step, env):
+            for result in _eval_step(node, step):
                 if id(result) not in seen:
                     seen.add(id(result))
                     next_nodes.append(result)
         next_nodes.sort(key=lambda n: n.node_id)
         current = next_nodes
     return current
-
-
-def eval_path(context: XmlNode, path: PathExpr,
-              env: NamespaceEnv | None = None) -> list[XmlNode]:
-    """Evaluate path against one context node.
-
-    An absolute path starts from the root of the context's tree;
-    a relative one starts from the context itself.
-    """
-    start = [context.root()] if path.absolute else [context]
-    return eval_steps(start, path.steps, env)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import fixture_text
+from conftest import fixture_text, steps_of
 from xqowl.errors import RdfParseError, UnsupportedFeatureError
 from xqowl.rdf import (
     RDF_FIRST,
@@ -23,7 +23,7 @@ from xqowl.rdf import (
     write_sparql_results,
 )
 from xqowl.xmltree import QName, get_attribute, parse_xml, serialize_xml, string_value
-from xqowl.xpaths import eval_path, parse_path
+from xqowl.xpaths import eval_steps
 
 FOAF = "http://xmlns.com/foaf/0.1/"
 REL = "http://relations.org"
@@ -67,9 +67,9 @@ def test_relations_triples_match_independent_tree_walk():
     # RDF/XML reader, and compare as sets
     doc = parse_xml(fixture_text("relations.rdf"))
     expected: set[Triple] = set()
-    for person in eval_path(doc, parse_path("/rdf:RDF/foaf:Person"),
-                            {"rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
-                             "foaf": FOAF}):
+    for person in eval_steps([doc], steps_of(
+            "rdf:RDF/foaf:Person",
+            rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#", foaf=FOAF)):
         about = get_attribute(person, QName(
             "http://www.w3.org/1999/02/22-rdf-syntax-ns#", "about"))
         subject = Iri(REL + about)
@@ -210,6 +210,10 @@ def test_rejected_rdf_markup(markup, error):
         parse_rdfxml(markup, base="http://ex.org/d")
 
 
+def _results_steps(path: str) -> tuple:
+    return steps_of(path, s=SPARQL_RESULTS_NS)
+
+
 def test_write_sparql_results_shape():
     table = SolutionTable(
         variables=["Person", "Name"],
@@ -218,25 +222,23 @@ def test_write_sparql_results_shape():
             {"Name": Literal("7", datatype="http://www.w3.org/2001/XMLSchema#integer")},
         ])
     doc = write_sparql_results(table)
-    env = {"s": SPARQL_RESULTS_NS}
-    names = eval_path(doc, parse_path("/s:sparql/s:head/s:variable/@name"), env)
+    names = eval_steps([doc], _results_steps("s:sparql/s:head/s:variable/@name"))
     assert [a.value for a in names] == ["Person", "Name"]
-    results = eval_path(doc, parse_path("/s:sparql/s:results/s:result"), env)
+    results = eval_steps([doc], _results_steps("s:sparql/s:results/s:result"))
     assert len(results) == 2
-    uris = eval_path(doc, parse_path(
-        '/s:sparql/s:results/s:result/s:binding[@name="Person"]/s:uri/text()'), env)
+    uris = eval_steps([doc], _results_steps(
+        's:sparql/s:results/s:result/s:binding[@name="Person"]/s:uri/text()'))
     assert [u.value for u in uris] == [REL + "#b1"]
     # second row: Person unbound, literal carries its datatype
-    lits = eval_path(results[1], parse_path('s:binding/s:literal'), env)
+    lits = eval_steps([results[1]], _results_steps("s:binding/s:literal"))
     assert len(lits) == 1
     assert get_attribute(lits[0], QName(None, "datatype")).endswith("integer")
     # the document serializes and reparses cleanly
     reparsed = parse_xml(serialize_xml(doc, indent=True))
-    assert len(eval_path(reparsed, parse_path("/s:sparql/s:results/s:result"), env)) == 2
+    assert len(eval_steps([reparsed], _results_steps("s:sparql/s:results/s:result"))) == 2
 
 
 def test_write_sparql_results_empty_table():
     doc = write_sparql_results(SolutionTable(variables=["X"], rows=[]))
-    env = {"s": SPARQL_RESULTS_NS}
-    assert eval_path(doc, parse_path("/s:sparql/s:results/s:result"), env) == []
-    assert len(eval_path(doc, parse_path("/s:sparql/s:head/s:variable"), env)) == 1
+    assert eval_steps([doc], _results_steps("s:sparql/s:results/s:result")) == []
+    assert len(eval_steps([doc], _results_steps("s:sparql/s:head/s:variable"))) == 1

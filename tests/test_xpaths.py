@@ -1,20 +1,14 @@
-"""Path expression parsing and evaluation."""
+"""Path steps as the host parser builds them, and their evaluation."""
 
 from __future__ import annotations
 
 import pytest
 
-from xqowl.errors import NamespaceError, PathSyntaxError
+from conftest import steps_of
+from xqowl.errors import HostSyntaxError
+from xqowl.hostlang import PathApply, VarRef, parse_program
 from xqowl.xmltree import QName, parse_xml
-from xqowl.xpaths import (
-    AttrEquals,
-    HasChild,
-    PathExpr,
-    Step,
-    eval_path,
-    eval_steps,
-    parse_path,
-)
+from xqowl.xpaths import AttrEquals, HasChild, Step, eval_steps
 
 SPQL = "http://www.w3.org/2005/sparql-results#"
 
@@ -34,41 +28,33 @@ CONFERENCE = """
 
 
 def test_parse_relative_and_absolute():
-    p = parse_path("a/b")
-    assert p == PathExpr(False, (Step("child", QName(None, "a")),
-                                 Step("child", QName(None, "b"))))
-    assert parse_path("/a").absolute
+    relative = parse_program("$d/a/b").body
+    assert relative == PathApply(VarRef("d"), (Step("child", QName(None, "a")),
+                                               Step("child", QName(None, "b"))))
+    assert parse_program("/a").body.start is None
 
 
 def test_parse_all_step_forms():
-    p = parse_path('/spql:sparql/*/@name/text()')
-    kinds = [(s.axis, s.test if isinstance(s.test, str) else "name") for s in p.steps]
+    steps = steps_of("spql:sparql/*/@name/text()", spql=SPQL)
+    kinds = [(s.axis, s.test if isinstance(s.test, str) else "name") for s in steps]
     assert kinds == [("child", "name"), ("child", "*"),
                      ("attribute", "name"), ("child", "text()")]
-    assert p.steps[0].test == QName(None, "sparql")
-    assert p.steps[0].test.prefix == "spql"  # type: ignore[union-attr]
+    assert steps[0].test == QName(SPQL, "sparql")
+    assert steps[0].test.prefix == "spql"  # type: ignore[union-attr]
 
 
 def test_parse_predicates():
-    p = parse_path('result/binding[@name="Ind"][uri]')
-    preds = p.steps[1].predicates
+    preds = steps_of('result/binding[@name="Ind"][uri]')[1].predicates
     assert preds == (AttrEquals(QName(None, "name"), "Ind"),
                      HasChild(QName(None, "uri")))
-
-
-def test_parse_self_axis():
-    p = parse_path("self::*")
-    assert p.steps == (Step("self", "*"),)
-    named = parse_path("self::a")
-    assert named.steps == (Step("self", QName(None, "a")),)
 
 
 @pytest.mark.parametrize("bad", [
     "", "a//b", "a[", "a[@x=1]", "a[@x='v'", "parent::a", "a/@", "@", "a/", "..",
 ])
 def test_parse_rejects_bad_paths(bad):
-    with pytest.raises(PathSyntaxError):
-        parse_path(bad)
+    with pytest.raises(HostSyntaxError):
+        parse_program(f'let $d := doc("x") return $d/{bad}')
 
 
 @pytest.fixture()
@@ -77,69 +63,53 @@ def conference():
 
 
 def test_child_steps_select_elements(conference):
-    papers = eval_path(conference, parse_path("/conference/papers/paper"))
+    papers = eval_steps([conference], steps_of("conference/papers/paper"))
     assert len(papers) == 3
     assert [n.name.local for n in papers] == ["paper"] * 3
 
 
 def test_relative_path_from_element(conference):
     root = conference.children[0]
-    titles = eval_path(root, parse_path("papers/paper/title/text()"))
+    titles = eval_steps([root], steps_of("papers/paper/title/text()"))
     assert [t.value for t in titles] == ["A", "B", "C"]
 
 
 def test_attribute_axis(conference):
-    ids = eval_path(conference, parse_path("/conference/papers/paper/@id"))
+    ids = eval_steps([conference], steps_of("conference/papers/paper/@id"))
     assert [a.value for a in ids] == ["1", "2", "3"]
     assert all(a.kind == "attribute" for a in ids)
 
 
 def test_wildcard_step(conference):
-    sections = eval_path(conference, parse_path("/conference/*"))
+    sections = eval_steps([conference], steps_of("conference/*"))
     assert [n.name.local for n in sections] == ["papers", "researchers"]
 
 
 def test_attribute_predicate(conference):
-    student = eval_path(conference,
-                        parse_path('/conference/papers/paper[@studentPaper="true"]'))
+    student = eval_steps([conference],
+                         steps_of('conference/papers/paper[@studentPaper="true"]'))
     assert [p.attributes[0].value for p in student] == ["1", "3"]
 
 
 def test_child_existence_predicate():
     doc = parse_xml("<r><x><u/></x><x/><x><u/></x></r>")
-    hits = eval_path(doc, parse_path("/r/x[u]"))
+    hits = eval_steps([doc], steps_of("r/x[u]"))
     assert len(hits) == 2
 
 
-def test_self_axis_matches_elements_only(conference):
-    root = conference.children[0]
-    assert eval_path(root, parse_path("self::*")) == [root]
-    assert eval_path(root, parse_path("self::conference")) == [root]
-    assert eval_path(root, parse_path("self::paper")) == []
-    text_node = eval_path(conference, parse_path("/conference/papers/paper/title/text()"))[0]
-    assert eval_path(text_node, parse_path("self::*")) == []
-
-
 def test_no_match_yields_empty_sequence(conference):
-    assert eval_path(conference, parse_path("/conference/missing")) == []
-
-
-def test_prefix_resolution_at_eval_time():
-    doc = parse_xml(f'<s:sparql xmlns:s="{SPQL}"><s:head/></s:sparql>')
-    path = parse_path("/spql:sparql/spql:head")
-    assert len(eval_path(doc, path, {"spql": SPQL})) == 1
-    with pytest.raises(NamespaceError):
-        eval_path(doc, path, {})
+    assert eval_steps([conference], steps_of("conference/missing")) == []
 
 
 def test_unprefixed_names_match_no_namespace_only():
     doc = parse_xml(f'<s:sparql xmlns:s="{SPQL}"/>')
-    assert eval_path(doc, parse_path("/sparql")) == []
+    assert eval_steps([doc], steps_of("sparql")) == []
 
 
 def test_absolute_path_starts_at_tree_root(conference):
-    deep = eval_path(conference, parse_path("/conference/papers/paper"))[0]
-    assert len(eval_path(deep, parse_path("/conference/papers/paper"))) == 3
+    deep = eval_steps([conference], steps_of("conference/papers/paper"))[0]
+    assert deep.root() is conference
+    assert len(eval_steps([deep.root()], steps_of("conference/papers/paper"))) == 3
 
 
 def test_results_document_text_extraction():
@@ -156,8 +126,9 @@ def test_results_document_text_extraction():
     </sparql>
     """
     doc = parse_xml(markup)
-    path = parse_path("/spql:sparql/spql:results/spql:result/spql:binding/spql:uri/text()")
-    texts = eval_path(doc, path, {"spql": SPQL})
+    steps = steps_of("spql:sparql/spql:results/spql:result/spql:binding/spql:uri/text()",
+                     spql=SPQL)
+    texts = eval_steps([doc], steps)
     assert len(texts) == 5
     assert [t.value for t in texts] == [
         "http://ex.org#v", "http://ex.org#j", "http://ex.org#l",
@@ -167,13 +138,13 @@ def test_results_document_text_extraction():
 
 def test_step_composition_matches_two_phase_evaluation(conference):
     # A/B over one context equals eval of B over each result of A, deduped
-    combined = eval_path(conference, parse_path("/conference/papers/paper/title"))
-    papers = eval_path(conference, parse_path("/conference/papers/paper"))
-    stitched = eval_steps(papers, parse_path("title").steps)
+    combined = eval_steps([conference], steps_of("conference/papers/paper/title"))
+    papers = eval_steps([conference], steps_of("conference/papers/paper"))
+    stitched = eval_steps(papers, steps_of("title"))
     assert combined == stitched
 
 
 def test_duplicate_contexts_are_deduplicated(conference):
-    papers = eval_path(conference, parse_path("/conference/papers/paper"))
-    twice = eval_steps(papers + papers, parse_path("title").steps)
+    papers = eval_steps([conference], steps_of("conference/papers/paper"))
+    twice = eval_steps(papers + papers, steps_of("title"))
     assert len(twice) == 3
