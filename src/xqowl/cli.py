@@ -248,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: input nested too deeply (maximum recursion depth exceeded)",
               file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

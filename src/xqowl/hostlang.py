@@ -20,7 +20,8 @@ The language is a small XQuery-like core:
                 | QName "(" (Expr ("," Expr)*)? ")" | Constructor
                 | "document" "{" Expr "}"
 
-Steps use the child axis, or the attribute axis after "@"; xpaths
+Steps use the child axis, or the attribute axis after "@"; a named
+axis such as "parent::" is a syntax error that names it. xpaths
 evaluates them. Direct element constructors carry literal text,
 nested constructors and enclosed expressions in braces; "{{" and "}}"
 escape literal braces. Whitespace-only literal content is boundary
@@ -396,6 +397,9 @@ class _Parser:
             return Step("child", "*", self.predicates())
         mark = self.pos
         prefix, local = self._split_qname()
+        if prefix is None and self.text.startswith("::", self.pos):
+            self.pos = mark
+            raise self.error(f"unsupported axis {local!r}")
         if prefix is None and local == "text" and self.take("("):
             self.expect(")")
             return Step("child", "text()", self.predicates())

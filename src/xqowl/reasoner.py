@@ -1,21 +1,20 @@
 """Forward-chaining reasoner over the supported ontology fragment.
 
-The ABox is saturated to a least fixpoint under Horn rules compiled from
-the TBox (subclass/equivalence, role hierarchy, inverse/symmetric flips,
-length-2 chains, domain/range, data-property domains).  Right-hand-side
-existentials are materialized with fresh witness individuals, one per
-(context, conjunct position); witnesses never trigger further witness
-creation, which bounds the saturation.  Every role fact is also indexed
-by (individual, role, inverse?), so rules, membership tests and clash
-checks look up an individual's neighbours instead of scanning all role
-facts.  Contradictions are collected as ClashReport values after the
-fixpoint, never raised:
-
-* disjoint-classes   culprits (individual, class, class)
-* disjoint-roles     culprits (subject, role, role, object)
-* irreflexive        culprits (individual, role)
-* max-cardinality    culprits (individual, role, filler, filler, ...)
-* nothing-membership culprits (individual,)
+The ABox is saturated to a least fixpoint under Horn rules compiled, once
+per Reasoner, from the TBox (subclass/equivalence, role hierarchy,
+inverse/symmetric flips, length-2 chains, domain/range, data-property
+domains).  Saturation is semi-naive: a role rule reads only the role facts
+added since it last ran, and a class rule, indexed by the names its
+left-hand side reads, checks an individual again only when such a fact is
+new; rules still fire in the naive order, on which witness creation
+depends.  Right-hand-side existentials get fresh witnesses, one per
+(context, conjunct position) and named by a digest of it; witnesses never
+create further witnesses, which bounds the saturation.  Role facts are
+indexed by (individual, role, inverse?).  Clashes are collected as
+ClashReport values after the fixpoint, never raised: disjoint-classes
+(individual, class, class), disjoint-roles (subject, role, role, object),
+irreflexive (individual, role), max-cardinality (individual, role,
+filler, ...), nothing-membership (individual,).
 
 Named individuals are assumed pairwise distinct, so an over-full
 cardinality restriction is a clash rather than a merge.  Subsumption is
@@ -26,15 +25,18 @@ superclass (an inconsistent seed subsumes vacuously).
 
 from __future__ import annotations
 
+import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InconsistentOntologyError, UnsupportedFeatureError
 from .owl import (
-    And, Assertion, ClassAssertion, ClassExpr, DataDomain, DataRange,
-    DisjointClasses, DisjointRoles, Domain, EquivalentClasses, Exists,
-    ExistsSelf, Forall, Inverse, InverseRoles, MaxCard, Named, Nothing,
-    NOTHING_IRI, Ontology, Range, Role, RoleAssertion, RoleChain, RoleExpr,
-    SubClassOf, SubRoleOf, THING_IRI, Thing,
+    And, ClassAssertion, ClassExpr, DataDomain, DataRange, DisjointClasses,
+    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Forall,
+    Inverse, InverseRoles, MaxCard, Named, Nothing, NOTHING_IRI, Ontology,
+    Range, Role, RoleAssertion, RoleChain, RoleExpr, SubClassOf, SubRoleOf,
+    THING_IRI, Thing,
 )
 from .rdf import Literal
 
@@ -48,18 +50,15 @@ class ClashReport:
 
 
 class _Facts:
-    """Membership tests over class_facts, role_facts, fresh and _index.
-
-    _index maps (individual, role, inverse?) to the individual's neighbours
-    over that role, or over its inverse, so no test scans role_facts.
-    """
+    """Membership tests over class_facts, role_facts, fresh and _index, which
+    maps (individual, role, inverse?) to the individual's neighbours over that
+    role, or over its inverse, so no test scans role_facts."""
 
     def neighbours(self, individual: str, role: str,
                    inverse: bool) -> set[str] | tuple[()]:
         return self._index.get((individual, role, inverse), ())
 
-    def named_fillers(self, individual: str, role: str,
-                      filler: ClassExpr) -> set[str]:
+    def named_fillers(self, individual: str, role: str, filler: ClassExpr) -> set[str]:
         """Named role successors in filler (witnesses are unconstrained)."""
         return {o for o in self.neighbours(individual, role, False)
                 if o not in self.fresh and self.check(o, filler)}
@@ -68,10 +67,8 @@ class _Facts:
         """Structural membership test against the saturated facts."""
         if isinstance(expr, Thing):
             return True
-        if isinstance(expr, Nothing):
-            return (individual, NOTHING_IRI) in self.class_facts
-        if isinstance(expr, Named):
-            return (individual, expr.iri) in self.class_facts
+        if isinstance(expr, (Named, Nothing)):
+            return (individual, _class_iri(expr)) in self.class_facts
         if isinstance(expr, And):
             return all(self.check(individual, p) for p in expr.parts)
         if isinstance(expr, ExistsSelf):
@@ -84,8 +81,7 @@ class _Facts:
         if not isinstance(expr.role, Role):
             raise UnsupportedFeatureError(
                 "cardinality over an inverse role is not supported")
-        return len(self.named_fillers(individual, expr.role.iri,
-                                      expr.filler)) <= expr.n
+        return len(self.named_fillers(individual, expr.role.iri, expr.filler)) <= expr.n
 
 
 @dataclass
@@ -95,8 +91,7 @@ class SaturatedAbox(_Facts):
     data_facts: set[tuple[str, str, Literal]]
     fresh: frozenset[str]
     clashes: tuple[ClashReport, ...]
-    _index: dict[tuple[str, str, bool], set[str]] = field(repr=False,
-                                                          compare=False)
+    _index: dict[tuple[str, str, bool], set[str]] = field(repr=False, compare=False)
 
     @property
     def clash(self) -> ClashReport | None:
@@ -105,20 +100,15 @@ class SaturatedAbox(_Facts):
 
 def display_class(expr: ClassExpr) -> str:
     """Compact rendering of a class expression for clash reports."""
-    if isinstance(expr, Named):
-        return expr.iri
-    if isinstance(expr, Thing):
-        return THING_IRI
-    if isinstance(expr, Nothing):
-        return NOTHING_IRI
+    if isinstance(expr, (Named, Nothing, Thing)):
+        return _class_iri(expr)
     if isinstance(expr, And):
         return "(" + " and ".join(display_class(p) for p in expr.parts) + ")"
-    if isinstance(expr, Exists):
-        return f"({display_role(expr.role)} some {display_class(expr.filler)})"
     if isinstance(expr, ExistsSelf):
         return f"({display_role(expr.role)} some Self)"
-    if isinstance(expr, Forall):
-        return f"({display_role(expr.role)} only {display_class(expr.filler)})"
+    if isinstance(expr, (Exists, Forall)):
+        word = "some" if isinstance(expr, Exists) else "only"
+        return f"({display_role(expr.role)} {word} {display_class(expr.filler)})"
     return f"(max {expr.n} {display_role(expr.role)} {display_class(expr.filler)})"
 
 
@@ -126,44 +116,50 @@ def display_role(role: RoleExpr) -> str:
     return role.iri if isinstance(role, Role) else f"inverse({role.iri})"
 
 
-def satisfies(sat: SaturatedAbox, individual: str, expr: ClassExpr) -> bool:
-    return sat.check(individual, expr)
+def _class_iri(expr: Named | Nothing | Thing) -> str:
+    return expr.iri if isinstance(expr, Named) else \
+        NOTHING_IRI if isinstance(expr, Nothing) else THING_IRI
 
 
-class _Engine(_Facts):
-    def __init__(self, ont: Ontology):
-        self.class_facts: set[tuple[str, str]] = set()
-        self.role_facts: set[tuple[str, str, str]] = set()
-        self._index: dict[tuple[str, str, bool], set[str]] = {}
-        self.data_facts: set[tuple[str, str, Literal]] = set()
-        self.fresh: set[str] = set()
-        self.named = set(ont.all_individuals())
-        self._witnesses: dict[tuple, str] = {}
-        # compiled rules
-        self.class_rules: list[tuple[ClassExpr, ClassExpr]] = []
-        self.subroles: dict[str, set[str]] = {}
-        self.flips: dict[str, set[str]] = {}
-        self.chains: list[tuple[str, str, str]] = []
-        self.domains: list[tuple[str, ClassExpr]] = []
-        self.ranges: list[tuple[str, ClassExpr]] = []
-        self.data_domains: list[tuple[str, ClassExpr]] = []
-        self.irreflexive: set[str] = set()
-        self.disjoint_classes: list[tuple[ClassExpr, ClassExpr]] = []
-        self.disjoint_roles: list[tuple[str, str]] = []
-        self.static_limits: list[tuple[ClassExpr, int, str, ClassExpr]] = []
-        self.dynamic_limits: set[tuple[str, int, str, ClassExpr]] = set()
-        for axiom in sorted(ont.tbox, key=repr):
+def _mentions(expr: ClassExpr, kind: type) -> bool:
+    if isinstance(expr, And):
+        return any(_mentions(p, kind) for p in expr.parts)
+    return isinstance(expr, kind) or isinstance(expr, (Exists, Forall, MaxCard)) \
+        and _mentions(expr.filler, kind)
+
+
+def witness_name(key: tuple) -> str:
+    """The witness of an existential position, named by a digest of its key."""
+    return "urn:witness:" + hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+
+def _named_role_iri(role: RoleExpr, where: str) -> str:
+    if not isinstance(role, Role):
+        raise UnsupportedFeatureError(f"an inverse role in {where} is not supported")
+    return role.iri
+
+
+class _Rules:
+    """A TBox sorted once by repr and compiled once.
+
+    typing maps (property, "domain"/"range"/"data-domain") to classes.
+    triggers maps a class IRI, or (role IRI, False/True/None for a fact read
+    at its subject/object/as a self-loop), to (rule, path): the class rules
+    reading it and the (role, inverse?) steps from their individual to it.
+    unstable: an asserted class has a cardinality bound, so asserting it
+    twice can add facts (an existential's filler may stop holding).
+    """
+
+    def __init__(self, tbox) -> None:
+        self.class_rules, self.chains, self.static_limits = [], [], []
+        self.disjoint_classes, self.disjoint_roles, self.irreflexive = [], [], set()
+        self.subroles, self.flips = defaultdict(list), defaultdict(list)
+        self.typing, self.triggers = defaultdict(list), defaultdict(list)
+        for axiom in sorted(tbox, key=repr):
             self._compile(axiom)
-        for index, assertion in enumerate(sorted(ont.abox, key=repr)):
-            self._seed(index, assertion)
-
-    # -- compilation -----------------------------------------------------------
-
-    @staticmethod
-    def _named_role_iri(role: RoleExpr, where: str) -> str:
-        if not isinstance(role, Role):
-            raise UnsupportedFeatureError(f"an inverse role in {where} is not supported")
-        return role.iri
+        asserted = [rhs for _, rhs in self.class_rules] + [
+            cls for classes in self.typing.values() for cls in classes]
+        self.unstable = any(_mentions(cls, MaxCard) for cls in asserted)
 
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
@@ -171,7 +167,7 @@ class _Engine(_Facts):
                     and isinstance(axiom.sup, Nothing):
                 self.irreflexive.add(axiom.sub.role.iri)
             elif isinstance(axiom.sup, MaxCard):
-                iri = self._named_role_iri(axiom.sup.role, "a cardinality restriction")
+                iri = _named_role_iri(axiom.sup.role, "a cardinality restriction")
                 self.static_limits.append((axiom.sub, axiom.sup.n, iri,
                                            axiom.sup.filler))
             else:
@@ -180,82 +176,106 @@ class _Engine(_Facts):
             self._class_rule(axiom.left, axiom.right)
             self._class_rule(axiom.right, axiom.left)
         elif isinstance(axiom, SubRoleOf):
-            sub_inv = isinstance(axiom.sub, Inverse)
-            sup_inv = isinstance(axiom.sup, Inverse)
-            if sub_inv == sup_inv:  # inverse(r) into inverse(s) collapses to r into s
-                self.subroles.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
-            else:
-                self.flips.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
+            # inverse(r) into inverse(s) collapses to r into s
+            same = isinstance(axiom.sub, Inverse) == isinstance(axiom.sup, Inverse)
+            (self.subroles if same else self.flips)[axiom.sub.iri].append(axiom.sup.iri)
         elif isinstance(axiom, RoleChain):
-            self.chains.append((self._named_role_iri(axiom.first, "a role chain"),
-                                self._named_role_iri(axiom.second, "a role chain"),
-                                self._named_role_iri(axiom.implied, "a role chain")))
+            self.chains.append(tuple(_named_role_iri(role, "a role chain") for role
+                                     in (axiom.first, axiom.second, axiom.implied)))
         elif isinstance(axiom, InverseRoles):
-            self.flips.setdefault(axiom.left, set()).add(axiom.right)
-            self.flips.setdefault(axiom.right, set()).add(axiom.left)
+            self.flips[axiom.left].append(axiom.right)
+            self.flips[axiom.right].append(axiom.left)
         elif isinstance(axiom, DisjointClasses):
             self.disjoint_classes.append((axiom.left, axiom.right))
         elif isinstance(axiom, DisjointRoles):
             self.disjoint_roles.append((axiom.left, axiom.right))
-        elif isinstance(axiom, Domain):
-            target = self.domains if isinstance(axiom.role, Role) else self.ranges
-            target.append((axiom.role.iri, axiom.cls))
-        elif isinstance(axiom, Range):
-            target = self.ranges if isinstance(axiom.role, Role) else self.domains
-            target.append((axiom.role.iri, axiom.cls))
+        elif isinstance(axiom, (Domain, Range)):
+            subject = isinstance(axiom, Domain) == isinstance(axiom.role, Role)
+            side = "domain" if subject else "range"
+            self.typing[axiom.role.iri, side].append(axiom.cls)
         elif isinstance(axiom, DataDomain):
-            self.data_domains.append((axiom.prop, axiom.cls))
+            self.typing[axiom.prop, "data-domain"].append(axiom.cls)
         elif not isinstance(axiom, DataRange):  # datatype ranges carry no rule
             raise UnsupportedFeatureError(f"axiom {axiom!r} is not supported")
 
     def _class_rule(self, lhs: ClassExpr, rhs: ClassExpr) -> None:
-        if self._mentions_forall(lhs) or self._mentions_forall(rhs):
+        if _mentions(lhs, Forall) or _mentions(rhs, Forall):
             raise UnsupportedFeatureError(
                 "universal restrictions in class axioms are not supported")
+        self._triggers(len(self.class_rules), lhs, ())
         self.class_rules.append((lhs, rhs))
 
-    @staticmethod
-    def _mentions_forall(expr: ClassExpr) -> bool:
-        if isinstance(expr, Forall):
-            return True
-        if isinstance(expr, And):
-            return any(_Engine._mentions_forall(p) for p in expr.parts)
-        if isinstance(expr, (Exists, MaxCard)):
-            return _Engine._mentions_forall(expr.filler)
-        return False
+    def _triggers(self, rule: int, expr: ClassExpr, path: tuple) -> None:
+        if isinstance(expr, (Named, Nothing)):
+            self.triggers[_class_iri(expr)].append((rule, path))
+        elif isinstance(expr, And):
+            for part in expr.parts:
+                self._triggers(rule, part, path)
+        elif isinstance(expr, ExistsSelf):
+            self.triggers[expr.role.iri, None].append((rule, path))
+        elif isinstance(expr, (Exists, MaxCard)):
+            step = (expr.role.iri, isinstance(expr.role, Inverse))
+            self.triggers[step].append((rule, path))
+            self._triggers(rule, expr.filler, path + (step,))
 
-    def _seed(self, index: int, assertion: Assertion) -> None:
-        if isinstance(assertion, ClassAssertion):
-            self.assert_expr(assertion.individual, assertion.cls,
-                             ("abox", index), materialize=True)
-        elif isinstance(assertion, RoleAssertion):
-            self.add_role(assertion.subject, assertion.role, assertion.object)
-        else:
-            self.data_facts.add((assertion.subject, assertion.prop,
-                                 assertion.value))
 
-    # -- rule application --------------------------------------------------------
+class _Engine(_Facts):
+    """One saturation of an ontology's ABox under compiled rules.
+
+    _dirty holds per class rule the individuals to check again, where a fact
+    its left-hand side reads is new. The first round checks every individual,
+    and so does every round of unstable rules: only their firing twice on an
+    individual can add facts.
+    """
+
+    def __init__(self, rules: _Rules, ont: Ontology):
+        self.rules, self.named = rules, set(ont.all_individuals())
+        self.class_facts, self.role_facts, self.data_facts = set(), set(), set()
+        self.fresh, self.dynamic_limits, self._index = set(), set(), defaultdict(set)
+        self._log: list[tuple[str, str, str]] = []  # role facts in the order added
+        self._read = [0] * (len(rules.chains) + 2)  # read of _log: flips, chains, typing
+        self._dirty = [set() for _ in rules.class_rules]
+        # class assertions first, in repr order, as witnesses depend on it
+        classes = sorted((a for a in ont.abox if isinstance(a, ClassAssertion)), key=repr)
+        for index, fact in enumerate(classes):
+            self.assert_expr(fact.individual, fact.cls, ("abox", index), True)
+        for fact in ont.abox:
+            if isinstance(fact, RoleAssertion):
+                self.add_role(fact.subject, fact.role, fact.object)
+            elif not isinstance(fact, ClassAssertion):
+                self.data_facts.add((fact.subject, fact.prop, fact.value))
 
     def add_role(self, subject: str, role: str, obj: str) -> None:
-        """The one writer of role_facts, which keeps _index in step."""
-        if (subject, role, obj) not in self.role_facts:
-            self.role_facts.add((subject, role, obj))
-            self._index.setdefault((subject, role, False), set()).add(obj)
-            self._index.setdefault((obj, role, True), set()).add(subject)
+        """The one writer of role_facts, which keeps _index and _log in step."""
+        fact = (subject, role, obj)
+        if fact not in self.role_facts:
+            self.role_facts.add(fact)
+            self._log.append(fact)
+            self._index[subject, role, False].add(obj)
+            self._index[obj, role, True].add(subject)
+            self._touch((role, False), subject)
+            self._touch((role, True), obj)
+            if subject == obj:
+                self._touch((role, None), subject)
+
+    def _touch(self, trigger, node: str) -> None:
+        """Mark trigger's class rules to check what reaches node along its path."""
+        for rule, path in self.rules.triggers.get(trigger, ()):
+            nodes = (node,)
+            for role, inverse in reversed(path):
+                nodes = {p for n in nodes for p in self.neighbours(n, role, not inverse)}
+            self._dirty[rule].update(nodes)
 
     def assert_expr(self, individual: str, expr: ClassExpr, key: tuple,
                     materialize: bool) -> None:
         """Record that individual belongs to expr, materializing existentials.
 
-        key identifies the asserting context so each existential position
-        gets exactly one witness no matter how often the rule re-fires.
-        """
-        if isinstance(expr, Thing):
-            return
-        if isinstance(expr, Nothing):
-            self.class_facts.add((individual, NOTHING_IRI))
-        elif isinstance(expr, Named):
-            self.class_facts.add((individual, expr.iri))
+        key identifies the asserting context, so each existential position
+        has one witness, named by key, however often the rule fires."""
+        if isinstance(expr, (Named, Nothing)):
+            if (individual, _class_iri(expr)) not in self.class_facts:
+                self.class_facts.add((individual, _class_iri(expr)))
+                self._touch(_class_iri(expr), individual)
         elif isinstance(expr, And):
             for position, part in enumerate(expr.parts):
                 self.assert_expr(individual, part, key + (position,), materialize)
@@ -264,118 +284,109 @@ class _Engine(_Facts):
         elif isinstance(expr, Exists):
             if self.check(individual, expr) or not materialize:
                 return
-            witness = self._witnesses.get(key)
-            if witness is None:
-                witness = f"urn:witness:w{len(self._witnesses) + 1}"
-                self._witnesses[key] = witness
+            witness = witness_name(key)
+            if witness not in self.fresh:
                 self.fresh.add(witness)
+                for dirty in self._dirty:
+                    dirty.add(witness)
             if isinstance(expr.role, Role):
                 self.add_role(individual, expr.role.iri, witness)
             else:
                 self.add_role(witness, expr.role.iri, individual)
             self.assert_expr(witness, expr.filler, key + ("filler",), True)
         elif isinstance(expr, MaxCard):
-            iri = self._named_role_iri(expr.role, "a cardinality restriction")
+            iri = _named_role_iri(expr.role, "a cardinality restriction")
             self.dynamic_limits.add((individual, expr.n, iri, expr.filler))
-        else:
-            raise UnsupportedFeatureError(
-                "universal restrictions cannot be asserted")
+        elif not isinstance(expr, Thing):
+            raise UnsupportedFeatureError("universal restrictions cannot be asserted")
 
-    def _pool(self) -> list[str]:
-        return sorted(self.named) + sorted(self.fresh)
+    def _type(self, individual: str, prop: str, side: str) -> None:
+        for cls in self.rules.typing.get((prop, side), ()):
+            self.assert_expr(individual, cls, (side, prop, individual),
+                             materialize=individual not in self.fresh)
+
+    def _unread(self, reader: int) -> list[tuple[str, str, str]]:
+        """The role facts added since reader last read _log."""
+        start, self._read[reader] = self._read[reader], len(self._log)
+        return self._log[start:]
 
     def saturate(self) -> None:
+        rules, first_round, pool = self.rules, True, []
         while True:
             size = (len(self.class_facts), len(self.role_facts), len(self.fresh))
-            for subject, role, obj in sorted(self.role_facts):
-                for sup in self.subroles.get(role, ()):
+            for subject, role, obj in self._unread(0):
+                for sup in rules.subroles.get(role, ()):
                     self.add_role(subject, sup, obj)
-                for flipped in self.flips.get(role, ()):
+                for flipped in rules.flips.get(role, ()):
                     self.add_role(obj, flipped, subject)
-            for first, second, implied in self.chains:
-                # both hops read the facts as they were before this chain
-                derived = [(a, c) for (a, r, b) in self.role_facts if r == first
+            for reader, (first, second, implied) in enumerate(rules.chains, 1):
+                new = self._unread(reader)  # both hops read facts from before it
+                derived = [(a, c) for (a, r, b) in new if r == first
                            for c in self.neighbours(b, second, False)]
+                derived += [(a, c) for (b, r, c) in new if r == second
+                            for a in self.neighbours(b, first, True)]
                 for a, c in derived:
                     self.add_role(a, implied, c)
-            for subject, role, obj in sorted(self.role_facts):
-                for prop, cls in self.domains:
-                    if prop == role:
-                        self.assert_expr(subject, cls, ("domain", prop, subject),
-                                         materialize=subject not in self.fresh)
-                for prop, cls in self.ranges:
-                    if prop == role:
-                        self.assert_expr(obj, cls, ("range", prop, obj),
-                                         materialize=obj not in self.fresh)
-            for subject, prop, _value in sorted(self.data_facts,
-                                                key=lambda f: f[:2]):
-                for dprop, cls in self.data_domains:
-                    if dprop == prop:
-                        self.assert_expr(subject, cls, ("data-domain", dprop, subject),
-                                         materialize=subject not in self.fresh)
-            for index, (lhs, rhs) in enumerate(self.class_rules):
-                for individual in self._pool():
-                    if self.check(individual, lhs):
-                        self.assert_expr(individual, rhs, ("rule", index, individual),
-                                         materialize=individual not in self.fresh)
-            if (len(self.class_facts), len(self.role_facts),
-                    len(self.fresh)) == size:
+            new = self._unread(len(rules.chains) + 1)
+            for subject, role, obj in sorted(self.role_facts if rules.unstable else new):
+                self._type(subject, role, "domain")
+                self._type(obj, role, "range")
+            for subject, prop, _value in sorted(self.data_facts, key=lambda f: f[:2]) \
+                    if first_round or rules.unstable else ():
+                self._type(subject, prop, "data-domain")
+            for index, (lhs, rhs) in enumerate(rules.class_rules):
+                dirty, every = self._dirty[index], first_round or rules.unstable
+                if (dirty or every) and len(pool) < len(self.named) + len(self.fresh):
+                    pool = sorted(self.named) + sorted(self.fresh)
+                # what firing adds for an individual later in the pool is seen now
+                for individual in pool if dirty or every else ():
+                    if every or individual in dirty:
+                        dirty.discard(individual)
+                        if self.check(individual, lhs):
+                            self.assert_expr(individual, rhs, ("rule", index, individual),
+                                             materialize=individual not in self.fresh)
+            first_round = False
+            if (len(self.class_facts), len(self.role_facts), len(self.fresh)) == size:
                 return
 
-    # -- clash detection ---------------------------------------------------------
-
     def collect_clashes(self) -> tuple[ClashReport, ...]:
-        found: set[tuple[str, tuple[str, ...]]] = set()
-        for individual, cls in self.class_facts:
-            if cls == NOTHING_IRI:
-                found.add(("nothing-membership", (individual,)))
-        for subject, role, obj in self.role_facts:
-            if subject == obj and role in self.irreflexive:
-                found.add(("irreflexive", (subject, role)))
-        pool = self._pool()
-        for left, right in self.disjoint_classes:
-            for individual in pool:
-                if self.check(individual, left) and self.check(individual, right):
-                    found.add(("disjoint-classes",
-                               (individual, display_class(left),
-                                display_class(right))))
-        for role_a, role_b in self.disjoint_roles:
-            for subject, role, obj in self.role_facts:
-                if role == role_a and (subject, role_b, obj) in self.role_facts:
-                    found.add(("disjoint-roles", (subject, role_a, role_b, obj)))
-        limits = [(individual, bound, role, filler)
-                  for context, bound, role, filler in self.static_limits
-                  for individual in pool if self.check(individual, context)]
-        limits += sorted(self.dynamic_limits, key=lambda l: (l[0], l[2], l[1]))
-        for individual, bound, role, filler in limits:
-            fillers = sorted(self.named_fillers(individual, role, filler))
+        rules, pool, facts = self.rules, self.named | self.fresh, self.role_facts
+        found = {("nothing-membership", (a,)) for a, c in self.class_facts
+                 if c == NOTHING_IRI}
+        found |= {("irreflexive", (s, r)) for s, r, o in facts
+                  if s == o and r in rules.irreflexive}
+        found |= {("disjoint-classes", (a, display_class(left), display_class(right)))
+                  for left, right in rules.disjoint_classes for a in pool
+                  if self.check(a, left) and self.check(a, right)}
+        found |= {("disjoint-roles", (s, role_a, role_b, o))
+                  for role_a, role_b in rules.disjoint_roles
+                  for s, r, o in facts if r == role_a and (s, role_b, o) in facts}
+        limits = [(a, bound, role, filler) for context, bound, role, filler
+                  in rules.static_limits for a in pool if self.check(a, context)]
+        for a, bound, role, filler in limits + list(self.dynamic_limits):
+            fillers = sorted(self.named_fillers(a, role, filler))
             if len(fillers) > bound:
-                found.add(("max-cardinality",
-                           (individual, role) + tuple(fillers)))
-        return tuple(ClashReport(kind, culprits)
-                     for kind, culprits in sorted(found))
+                found.add(("max-cardinality", (a, role) + tuple(fillers)))
+        return tuple(ClashReport(kind, culprits) for kind, culprits in sorted(found))
 
     def result(self) -> SaturatedAbox:
         self.saturate()
-        return SaturatedAbox(class_facts=self.class_facts,
-                             role_facts=self.role_facts,
-                             data_facts=self.data_facts,
-                             fresh=frozenset(self.fresh),
-                             clashes=self.collect_clashes(),
-                             _index=self._index)
+        return SaturatedAbox(self.class_facts, self.role_facts, self.data_facts,
+                             frozenset(self.fresh), self.collect_clashes(),
+                             self._index)
 
 
-def saturate(ont: Ontology) -> SaturatedAbox:
-    """Close the ABox under the compiled rule set and collect all clashes."""
-    return _Engine(ont).result()
+def saturate(ont: Ontology, rules: _Rules | None = None) -> SaturatedAbox:
+    """Close the ABox under ont.tbox, or rules compiled from it, and collect clashes."""
+    return _Engine(_Rules(ont.tbox) if rules is None else rules, ont).result()
 
 
 class Reasoner:
     """Reasoning facade over one immutable ontology.
 
-    The saturation and subsumption answers are memoized per instance; the
-    accepted backend profile names are interchangeable labels kept only
-    for reporting.
+    The compiled TBox, the saturation and subsumption answers are memoized
+    per instance; the accepted backend profile names are interchangeable
+    labels kept only for reporting.
     """
 
     PROFILES = ("hermit", "pellet", "fact")
@@ -384,24 +395,23 @@ class Reasoner:
         if profile not in self.PROFILES:
             raise ValueError(f"unknown reasoner profile {profile!r}; "
                              f"expected one of {', '.join(self.PROFILES)}")
-        self.ontology = ont
-        self.profile = profile
-        self._saturation: SaturatedAbox | None = None
+        self.ontology, self.profile = ont, profile
         self._subsumptions: dict[tuple[ClassExpr, ClassExpr], bool] = {}
 
-    @property
+    @cached_property
+    def _rules(self) -> _Rules:
+        return _Rules(self.ontology.tbox)
+
+    @cached_property
     def saturation(self) -> SaturatedAbox:
-        if self._saturation is None:
-            self._saturation = saturate(self.ontology)
-        return self._saturation
+        return saturate(self.ontology, self._rules)
 
     def _require_consistent(self, task: str) -> SaturatedAbox:
         sat = self.saturation
-        if sat.clashes:
-            clash = sat.clashes[0]
+        if sat.clash:
             raise InconsistentOntologyError(
                 f"{task} is undefined on an inconsistent ontology "
-                f"({clash.kind}: {', '.join(clash.culprits)})")
+                f"({sat.clash.kind}: {', '.join(sat.clash.culprits)})")
         return sat
 
     def is_consistent(self) -> bool:
@@ -409,12 +419,10 @@ class Reasoner:
 
     def instances(self, expr: ClassExpr) -> set[str]:
         sat = self._require_consistent("instance retrieval")
-        return {a for a in self.ontology.all_individuals()
-                if satisfies(sat, a, expr)}
+        return {a for a in self.ontology.all_individuals() if sat.check(a, expr)}
 
     def is_instance_of(self, individual: str, expr: ClassExpr) -> bool:
-        sat = self._require_consistent("instance checking")
-        return satisfies(sat, individual, expr)
+        return self._require_consistent("instance checking").check(individual, expr)
 
     def holds(self, subject: str, role: str, obj: str) -> bool:
         return (subject, role, obj) in self.saturation.role_facts
@@ -428,35 +436,26 @@ class Reasoner:
             canonical = Ontology(
                 iri=self.ontology.iri, tbox=self.ontology.tbox,
                 abox=frozenset({ClassAssertion(CANONICAL_INDIVIDUAL, sub)}))
-            sat = saturate(canonical)
+            sat = saturate(canonical, self._rules)
             self._subsumptions[key] = bool(sat.clashes) or \
-                satisfies(sat, CANONICAL_INDIVIDUAL, sup)
+                sat.check(CANONICAL_INDIVIDUAL, sup)
         return self._subsumptions[key]
 
     def subclasses(self, expr: ClassExpr, direct: bool = False) -> set[str]:
-        skip = expr.iri if isinstance(expr, Named) else \
-            NOTHING_IRI if isinstance(expr, Nothing) else None
+        skip = _class_iri(expr) if isinstance(expr, (Named, Nothing)) else None
         candidates = sorted(self.ontology.named_classes() | {NOTHING_IRI})
         subs = {iri for iri in candidates
                 if iri != skip and self.is_subsumed(self._as_expr(iri), expr)}
         if not direct:
             return subs
-        out = set()
-        for iri in subs:
-            strictly_below = any(
-                other != iri
-                and self.is_subsumed(self._as_expr(iri), self._as_expr(other))
-                and not self.is_subsumed(self._as_expr(other), self._as_expr(iri))
-                and not self.is_subsumed(expr, self._as_expr(other))
-                for other in subs)
-            if not strictly_below:
-                out.add(iri)
-        return out
+        return {iri for iri in subs if not any(  # strictly below another
+            other != iri
+            and self.is_subsumed(self._as_expr(iri), self._as_expr(other))
+            and not self.is_subsumed(self._as_expr(other), self._as_expr(iri))
+            and not self.is_subsumed(expr, self._as_expr(other))
+            for other in subs)}
 
     @staticmethod
     def _as_expr(iri: str) -> ClassExpr:
-        if iri == NOTHING_IRI:
-            return Nothing()
-        if iri == THING_IRI:
-            return Thing()
-        return Named(iri)
+        return Nothing() if iri == NOTHING_IRI else \
+            Thing() if iri == THING_IRI else Named(iri)

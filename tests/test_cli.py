@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES, SRC, fixture_text
+from xqowl import cli
 from xqowl.cli import main
 from xqowl.owl import load_ontology
 from xqowl.rdf import parse_rdfxml
@@ -91,6 +92,16 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+    def test_out_of_memory_is_an_error_not_a_traceback(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "run", exhausted)
+        code, out, err = run_cli(capsys, "run", fx("consistency.xq"))
+        assert code == 1
+        assert out == ""
+        assert err == "error: out of memory\n"
 
 
 class TestRun:

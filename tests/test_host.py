@@ -114,6 +114,14 @@ class TestParser:
         with pytest.raises(HostSyntaxError):
             parse_program('let $d := doc("x") return $d//a')
 
+    @pytest.mark.parametrize("axis", ["parent", "self", "ancestor",
+                                      "following-sibling"])
+    def test_unsupported_axis_is_named(self, axis):
+        with pytest.raises(HostSyntaxError) as err:
+            parse_program(f'let $d := doc("x") return $d/{axis}::a')
+        assert str(err.value).startswith(f"unsupported axis '{axis}'")
+        assert (err.value.line, err.value.column) == (1, 30)
+
     def test_unknown_function_prefix_rejected(self):
         with pytest.raises(HostSyntaxError) as err:
             parse_program("om:loadOntology()")

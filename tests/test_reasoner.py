@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import fixture_text
+from conftest import SRC, fixture_text
 from xqowl.errors import InconsistentOntologyError, UnsupportedFeatureError
 from xqowl.owl import (
-    And, ClassAssertion, ClassExpr, DisjointClasses, DisjointRoles, Domain,
-    EquivalentClasses, Exists, ExistsSelf, Forall, Inverse, InverseRoles,
-    MaxCard, Named, Nothing, NOTHING_IRI, Ontology, Range, Role, RoleAssertion,
-    RoleChain, SubClassOf, SubRoleOf, Thing, functional_axiom,
-    irreflexive_axiom, load_ontology, symmetric_axiom,
+    And, Assertion, ClassAssertion, ClassExpr, DataAssertion, DataDomain,
+    DataRange, DisjointClasses, DisjointRoles, Domain, EquivalentClasses,
+    Exists, ExistsSelf, Forall, Inverse, InverseRoles, MaxCard, Named, Nothing,
+    NOTHING_IRI, Ontology, Range, Role, RoleAssertion, RoleChain, RoleExpr,
+    SubClassOf, SubRoleOf, Thing, functional_axiom, irreflexive_axiom,
+    load_ontology, symmetric_axiom,
 )
-from xqowl.rdf import parse_rdfxml
+from xqowl.rdf import Literal, parse_rdfxml
 from xqowl.reasoner import (
-    ClashReport, Reasoner, display_class, saturate, satisfies,
+    ClashReport, Reasoner, SaturatedAbox, _Facts, display_class, saturate,
+    witness_name,
 )
 
 SN = "http://www.semanticweb.org/socialnetwork.owl#"
@@ -64,7 +70,7 @@ class TestSaturation:
                 assert (assertion.subject, assertion.role,
                         assertion.object) in sat.role_facts
             elif isinstance(assertion, ClassAssertion):
-                assert satisfies(sat, assertion.individual, assertion.cls)
+                assert sat.check(assertion.individual, assertion.cls)
             else:
                 assert (assertion.subject, assertion.prop,
                         assertion.value) in sat.data_facts
@@ -224,7 +230,7 @@ class TestWitnesses:
         witness = next(iter(sat.fresh))
         assert (ex("a"), ex("p"), witness) in sat.role_facts
         assert (witness, ex("B")) in sat.class_facts
-        assert satisfies(sat, ex("a"), Exists(Role(ex("p")), Named(ex("B"))))
+        assert sat.check(ex("a"), Exists(Role(ex("p")), Named(ex("B"))))
 
     def test_satisfied_existential_introduces_no_witness(self):
         ont = ont_of(
@@ -273,7 +279,7 @@ class TestWitnesses:
         # Ten paths x0 -r-> x1 -r-> x2 -r-> x3 with A(x0) and B(x3). The first
         # round's chain pass reads only the facts from before it, so x0
         # reaches x2 but not x3 when the existential fires, and every x0
-        # gets a witness, named in pool order.
+        # gets a witness, named by its key: class rule 0 fired on x0.
         r = ex("r")
         paths = [[ex(f"k{k}x{i}") for i in range(4)] for k in range(10)]
         abox = set()
@@ -285,12 +291,92 @@ class TestWitnesses:
             tbox={RoleChain(Role(r), Role(r), Role(r)),
                   SubClassOf(Named(ex("A")), Exists(Role(r), Named(ex("B"))))},
             abox=abox))
-        witnesses = [f"urn:witness:w{k + 1}" for k in range(10)]
+        witnesses = [witness_name(("rule", 0, path[0])) for path in paths]
         assert sat.fresh == frozenset(witnesses)
         assert sat.role_facts == {
             (path[i], r, path[j]) for path in paths
             for i in range(4) for j in range(i + 1, 4)} | {
             (path[0], r, w) for path, w in zip(paths, witnesses)}
+
+    def test_firing_order_decides_the_witnesses(self):
+        # Rules fire by index, then by individual: A <= r some C fires on a
+        # before B <= C fires on the witness of A <= r some B, so a gets a
+        # second witness for C.
+        r = Role(ex("r"))
+        A, B, C = Named(ex("A")), Named(ex("B")), Named(ex("C"))
+        sat = saturate(ont_of(
+            tbox={SubClassOf(A, Exists(r, B)), SubClassOf(A, Exists(r, C)),
+                  SubClassOf(B, C)},
+            abox={ClassAssertion(ex("a"), A)}))
+        for_b, for_c = (witness_name(("rule", k, ex("a"))) for k in (0, 1))
+        assert sat.fresh == {for_b, for_c}
+        assert sat.class_facts == {(ex("a"), ex("A")), (for_b, ex("B")),
+                                   (for_b, ex("C")), (for_c, ex("C"))}
+        assert sat.role_facts == {(ex("a"), ex("r"), for_b), (ex("a"), ex("r"), for_c)}
+
+    def test_chain_composes_an_old_first_hop_with_a_new_second(self):
+        # a -r-> x is asserted; x -s-> w appears only when A <= s some B fires
+        r, s, t = (Role(ex(n)) for n in "rst")
+        ont = ont_of(tbox={RoleChain(r, s, t),
+                           SubClassOf(Named(ex("A")), Exists(s, Named(ex("B"))))},
+                     abox={RoleAssertion(ex("a"), ex("r"), ex("x")),
+                           ClassAssertion(ex("x"), Named(ex("A")))})
+        witness = witness_name(("rule", 0, ex("x")))
+        assert role_pairs(saturate(ont), ex("t")) == {(ex("a"), witness)}
+        check_against_naive(ont)
+
+    def test_a_sweep_sees_what_it_adds_further_along_the_pool(self):
+        # Round 2: some p.D <= D fires on a, then on b (b -p-> a) in the same
+        # pass, so D <= q some E fires on b before F <= E gives e its E, and
+        # b gets a witness although e would satisfy it one round later.
+        p, q = Role(ex("p")), Role(ex("q"))
+        D, E, F, G, H = (Named(ex(n)) for n in "DEFGH")
+        ont = ont_of(
+            tbox={SubClassOf(Exists(p, D), D), SubClassOf(D, Exists(q, E)),
+                  SubClassOf(F, E), SubClassOf(G, F), SubClassOf(H, D)},
+            abox={RoleAssertion(ex("b"), ex("p"), ex("a")),
+                  RoleAssertion(ex("a"), ex("p"), ex("c")),
+                  RoleAssertion(ex("b"), ex("q"), ex("e")),
+                  ClassAssertion(ex("c"), H), ClassAssertion(ex("e"), G)})
+        assert saturate(ont).fresh == {witness_name(("rule", 1, ex(n))) for n in "abc"}
+        check_against_naive(ont)
+
+    def test_an_existential_is_asserted_again_once_its_filler_fails(self):
+        # y satisfies max 0 s.B until C <= B types z, then x needs a witness
+        r, s = Role(ex("r")), Role(ex("s"))
+        A, B, C = (Named(ex(n)) for n in "ABC")
+        ont = ont_of(
+            tbox={SubClassOf(A, Exists(r, MaxCard(0, s, B))), SubClassOf(C, B)},
+            abox={ClassAssertion(ex("x"), A), RoleAssertion(ex("x"), ex("r"), ex("y")),
+                  RoleAssertion(ex("y"), ex("s"), ex("z")), ClassAssertion(ex("z"), C)})
+        assert saturate(ont).fresh == {witness_name(("rule", 0, ex("x")))}
+        check_against_naive(ont)
+
+    def test_a_witness_born_after_a_rule_ran_is_checked_by_it_next_round(self):
+        # Thing <= C (from the equivalence, rule 1) reads no fact, so only
+        # the witness's birth makes rule 1 check the witness of rule 2
+        C = Named(ex("C"))
+        ont = ont_of(tbox={EquivalentClasses(C, Thing()),
+                           SubClassOf(Named(ex("A")), Exists(Role(ex("r")), Named(ex("B"))))},
+                     abox={ClassAssertion(ex("a"), Named(ex("A")))})
+        witness = witness_name(("rule", 2, ex("a")))
+        assert (witness, ex("C")) in saturate(ont).class_facts
+        check_against_naive(ont)
+
+    def test_witness_names_do_not_depend_on_the_hash_seed(self):
+        program = (
+            "from xqowl.owl import *\n"
+            "from xqowl.reasoner import saturate\n"
+            "r, A = Role('urn:ex:r'), Named('urn:ex:A')\n"
+            "tbox = {SubClassOf(A, And((Exists(r, A), Exists(Inverse('urn:ex:r'), A))))}\n"
+            "abox = {ClassAssertion(f'urn:ex:i{k}', A) for k in range(20)}\n"
+            "print(sorted(saturate(Ontology('', frozenset(tbox), frozenset(abox))).fresh))\n")
+        outputs = {subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(SRC),
+                             "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2", "3")}
+        assert len(outputs) == 1 and outputs.pop().count("urn:witness:") == 40
 
 
 class TestInstanceRetrieval:
@@ -639,7 +725,7 @@ def check_index_against_scan(ont: Ontology) -> None:
         exprs += [MaxCard(1, Role(role), filler) for filler in fillers]
         for individual in individuals:
             for expr in exprs:
-                assert satisfies(sat, individual, expr) == \
+                assert sat.check(individual, expr) == \
                     scan_check(sat, individual, expr), (individual, expr)
             assert reasoner.property_values(individual, role) == \
                 scan_fillers(sat, individual, role, Thing())
@@ -652,3 +738,308 @@ class TestRoleIndex:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_ontology_matches_the_scans(self, seed):
         check_index_against_scan(random_ontology(random.Random(seed)))
+
+
+# -- the semi-naive engine against the naive loop it replaced --------------------
+
+class NaiveEngine(_Facts):
+    """The naive saturation loop, before compile-once and firing by trigger:
+    every round re-sorts the role facts and tries every class rule on every
+    individual. Its one change is the witness names: it numbered them in
+    creation order, but it sweeps witnesses in name order, which decides
+    some results (a left-hand side's cardinality bound read across
+    witnesses), so both loops must name them alike to agree."""
+
+    def __init__(self, ont: Ontology):
+        self.class_facts: set[tuple[str, str]] = set()
+        self.role_facts: set[tuple[str, str, str]] = set()
+        self._index: dict[tuple[str, str, bool], set[str]] = {}
+        self.data_facts: set[tuple[str, str, Literal]] = set()
+        self.fresh: set[str] = set()
+        self.named = set(ont.all_individuals())
+        self._witnesses: dict[tuple, str] = {}
+        # compiled rules
+        self.class_rules: list[tuple[ClassExpr, ClassExpr]] = []
+        self.subroles: dict[str, set[str]] = {}
+        self.flips: dict[str, set[str]] = {}
+        self.chains: list[tuple[str, str, str]] = []
+        self.domains: list[tuple[str, ClassExpr]] = []
+        self.ranges: list[tuple[str, ClassExpr]] = []
+        self.data_domains: list[tuple[str, ClassExpr]] = []
+        self.irreflexive: set[str] = set()
+        self.disjoint_classes: list[tuple[ClassExpr, ClassExpr]] = []
+        self.disjoint_roles: list[tuple[str, str]] = []
+        self.static_limits: list[tuple[ClassExpr, int, str, ClassExpr]] = []
+        self.dynamic_limits: set[tuple[str, int, str, ClassExpr]] = set()
+        for axiom in sorted(ont.tbox, key=repr):
+            self._compile(axiom)
+        for index, assertion in enumerate(sorted(ont.abox, key=repr)):
+            self._seed(index, assertion)
+
+
+    @staticmethod
+    def _named_role_iri(role: RoleExpr, where: str) -> str:
+        if not isinstance(role, Role):
+            raise UnsupportedFeatureError(f"an inverse role in {where} is not supported")
+        return role.iri
+
+    def _compile(self, axiom) -> None:
+        if isinstance(axiom, SubClassOf):
+            if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sub.role, Role) \
+                    and isinstance(axiom.sup, Nothing):
+                self.irreflexive.add(axiom.sub.role.iri)
+            elif isinstance(axiom.sup, MaxCard):
+                iri = self._named_role_iri(axiom.sup.role, "a cardinality restriction")
+                self.static_limits.append((axiom.sub, axiom.sup.n, iri,
+                                           axiom.sup.filler))
+            else:
+                self._class_rule(axiom.sub, axiom.sup)
+        elif isinstance(axiom, EquivalentClasses):
+            self._class_rule(axiom.left, axiom.right)
+            self._class_rule(axiom.right, axiom.left)
+        elif isinstance(axiom, SubRoleOf):
+            sub_inv = isinstance(axiom.sub, Inverse)
+            sup_inv = isinstance(axiom.sup, Inverse)
+            if sub_inv == sup_inv:  # inverse(r) into inverse(s) collapses to r into s
+                self.subroles.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
+            else:
+                self.flips.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
+        elif isinstance(axiom, RoleChain):
+            self.chains.append((self._named_role_iri(axiom.first, "a role chain"),
+                                self._named_role_iri(axiom.second, "a role chain"),
+                                self._named_role_iri(axiom.implied, "a role chain")))
+        elif isinstance(axiom, InverseRoles):
+            self.flips.setdefault(axiom.left, set()).add(axiom.right)
+            self.flips.setdefault(axiom.right, set()).add(axiom.left)
+        elif isinstance(axiom, DisjointClasses):
+            self.disjoint_classes.append((axiom.left, axiom.right))
+        elif isinstance(axiom, DisjointRoles):
+            self.disjoint_roles.append((axiom.left, axiom.right))
+        elif isinstance(axiom, Domain):
+            target = self.domains if isinstance(axiom.role, Role) else self.ranges
+            target.append((axiom.role.iri, axiom.cls))
+        elif isinstance(axiom, Range):
+            target = self.ranges if isinstance(axiom.role, Role) else self.domains
+            target.append((axiom.role.iri, axiom.cls))
+        elif isinstance(axiom, DataDomain):
+            self.data_domains.append((axiom.prop, axiom.cls))
+        elif not isinstance(axiom, DataRange):  # datatype ranges carry no rule
+            raise UnsupportedFeatureError(f"axiom {axiom!r} is not supported")
+
+    def _class_rule(self, lhs: ClassExpr, rhs: ClassExpr) -> None:
+        if self._mentions_forall(lhs) or self._mentions_forall(rhs):
+            raise UnsupportedFeatureError(
+                "universal restrictions in class axioms are not supported")
+        self.class_rules.append((lhs, rhs))
+
+    @staticmethod
+    def _mentions_forall(expr: ClassExpr) -> bool:
+        if isinstance(expr, Forall):
+            return True
+        if isinstance(expr, And):
+            return any(NaiveEngine._mentions_forall(p) for p in expr.parts)
+        if isinstance(expr, (Exists, MaxCard)):
+            return NaiveEngine._mentions_forall(expr.filler)
+        return False
+
+    def _seed(self, index: int, assertion: Assertion) -> None:
+        if isinstance(assertion, ClassAssertion):
+            self.assert_expr(assertion.individual, assertion.cls,
+                             ("abox", index), materialize=True)
+        elif isinstance(assertion, RoleAssertion):
+            self.add_role(assertion.subject, assertion.role, assertion.object)
+        else:
+            self.data_facts.add((assertion.subject, assertion.prop,
+                                 assertion.value))
+
+
+    def add_role(self, subject: str, role: str, obj: str) -> None:
+        """The one writer of role_facts, which keeps _index in step."""
+        if (subject, role, obj) not in self.role_facts:
+            self.role_facts.add((subject, role, obj))
+            self._index.setdefault((subject, role, False), set()).add(obj)
+            self._index.setdefault((obj, role, True), set()).add(subject)
+
+    def assert_expr(self, individual: str, expr: ClassExpr, key: tuple,
+                    materialize: bool) -> None:
+        """Record that individual belongs to expr, materializing existentials.
+
+        key identifies the asserting context so each existential position
+        gets exactly one witness no matter how often the rule re-fires.
+        """
+        if isinstance(expr, Thing):
+            return
+        if isinstance(expr, Nothing):
+            self.class_facts.add((individual, NOTHING_IRI))
+        elif isinstance(expr, Named):
+            self.class_facts.add((individual, expr.iri))
+        elif isinstance(expr, And):
+            for position, part in enumerate(expr.parts):
+                self.assert_expr(individual, part, key + (position,), materialize)
+        elif isinstance(expr, ExistsSelf):
+            self.add_role(individual, expr.role.iri, individual)
+        elif isinstance(expr, Exists):
+            if self.check(individual, expr) or not materialize:
+                return
+            witness = self._witnesses.get(key)
+            if witness is None:
+                witness = witness_name(key)
+                self._witnesses[key] = witness
+                self.fresh.add(witness)
+            if isinstance(expr.role, Role):
+                self.add_role(individual, expr.role.iri, witness)
+            else:
+                self.add_role(witness, expr.role.iri, individual)
+            self.assert_expr(witness, expr.filler, key + ("filler",), True)
+        elif isinstance(expr, MaxCard):
+            iri = self._named_role_iri(expr.role, "a cardinality restriction")
+            self.dynamic_limits.add((individual, expr.n, iri, expr.filler))
+        else:
+            raise UnsupportedFeatureError(
+                "universal restrictions cannot be asserted")
+
+    def _pool(self) -> list[str]:
+        return sorted(self.named) + sorted(self.fresh)
+
+    def saturate(self) -> None:
+        while True:
+            size = (len(self.class_facts), len(self.role_facts), len(self.fresh))
+            for subject, role, obj in sorted(self.role_facts):
+                for sup in self.subroles.get(role, ()):
+                    self.add_role(subject, sup, obj)
+                for flipped in self.flips.get(role, ()):
+                    self.add_role(obj, flipped, subject)
+            for first, second, implied in self.chains:
+                # both hops read the facts as they were before this chain
+                derived = [(a, c) for (a, r, b) in self.role_facts if r == first
+                           for c in self.neighbours(b, second, False)]
+                for a, c in derived:
+                    self.add_role(a, implied, c)
+            for subject, role, obj in sorted(self.role_facts):
+                for prop, cls in self.domains:
+                    if prop == role:
+                        self.assert_expr(subject, cls, ("domain", prop, subject),
+                                         materialize=subject not in self.fresh)
+                for prop, cls in self.ranges:
+                    if prop == role:
+                        self.assert_expr(obj, cls, ("range", prop, obj),
+                                         materialize=obj not in self.fresh)
+            for subject, prop, _value in sorted(self.data_facts,
+                                                key=lambda f: f[:2]):
+                for dprop, cls in self.data_domains:
+                    if dprop == prop:
+                        self.assert_expr(subject, cls, ("data-domain", dprop, subject),
+                                         materialize=subject not in self.fresh)
+            for index, (lhs, rhs) in enumerate(self.class_rules):
+                for individual in self._pool():
+                    if self.check(individual, lhs):
+                        self.assert_expr(individual, rhs, ("rule", index, individual),
+                                         materialize=individual not in self.fresh)
+            if (len(self.class_facts), len(self.role_facts),
+                    len(self.fresh)) == size:
+                return
+
+
+    def collect_clashes(self) -> tuple[ClashReport, ...]:
+        found: set[tuple[str, tuple[str, ...]]] = set()
+        for individual, cls in self.class_facts:
+            if cls == NOTHING_IRI:
+                found.add(("nothing-membership", (individual,)))
+        for subject, role, obj in self.role_facts:
+            if subject == obj and role in self.irreflexive:
+                found.add(("irreflexive", (subject, role)))
+        pool = self._pool()
+        for left, right in self.disjoint_classes:
+            for individual in pool:
+                if self.check(individual, left) and self.check(individual, right):
+                    found.add(("disjoint-classes",
+                               (individual, display_class(left),
+                                display_class(right))))
+        for role_a, role_b in self.disjoint_roles:
+            for subject, role, obj in self.role_facts:
+                if role == role_a and (subject, role_b, obj) in self.role_facts:
+                    found.add(("disjoint-roles", (subject, role_a, role_b, obj)))
+        limits = [(individual, bound, role, filler)
+                  for context, bound, role, filler in self.static_limits
+                  for individual in pool if self.check(individual, context)]
+        limits += sorted(self.dynamic_limits, key=lambda l: (l[0], l[2], l[1]))
+        for individual, bound, role, filler in limits:
+            fillers = sorted(self.named_fillers(individual, role, filler))
+            if len(fillers) > bound:
+                found.add(("max-cardinality",
+                           (individual, role) + tuple(fillers)))
+        return tuple(ClashReport(kind, culprits)
+                     for kind, culprits in sorted(found))
+
+    def result(self) -> SaturatedAbox:
+        self.saturate()
+        return SaturatedAbox(class_facts=self.class_facts,
+                             role_facts=self.role_facts,
+                             data_facts=self.data_facts,
+                             fresh=frozenset(self.fresh),
+                             clashes=self.collect_clashes(),
+                             _index=self._index)
+
+
+
+def check_against_naive(ont: Ontology) -> None:
+    """Equal facts, witnesses and clashes from the naive loop and from the
+    engine, whether it compiles the TBox itself or reuses a Reasoner's."""
+    expected = NaiveEngine(ont).result()
+    assert saturate(ont) == expected
+    reasoner = Reasoner(ont)
+    assert reasoner.saturation == expected
+    assert saturate(ont, reasoner._rules) == expected
+
+
+ROLE_NAMES = (ex("r"), ex("s"))
+role_names = st.sampled_from(ROLE_NAMES)
+role_exprs = role_names.map(Role) | role_names.map(Inverse)
+named_classes = st.sampled_from(CLASS_NAMES[:3]).map(Named)
+class_exprs = st.recursive(
+    named_classes | st.just(Thing()),
+    lambda inner: st.builds(Exists, role_exprs, inner)
+    | st.lists(inner, min_size=2, max_size=3).map(lambda parts: And(tuple(parts)))
+    | st.builds(MaxCard, st.integers(0, 1), role_names.map(Role), inner)
+    | role_names.map(lambda r: ExistsSelf(Role(r))),
+    max_leaves=4)
+several_existentials = st.lists(st.builds(Exists, role_exprs, class_exprs),
+                                min_size=2, max_size=3).map(lambda ps: And(tuple(ps)))
+axioms = st.one_of(
+    st.builds(SubClassOf, class_exprs, class_exprs),
+    st.builds(SubClassOf, named_classes, several_existentials),
+    st.builds(EquivalentClasses, named_classes, class_exprs),
+    st.builds(RoleChain, role_names.map(Role), role_names.map(Role),
+              role_names.map(Role)),
+    st.builds(SubRoleOf, role_exprs, role_exprs),
+    st.builds(InverseRoles, role_names, role_names),
+    role_names.map(symmetric_axiom),
+    st.builds(Domain, role_exprs, class_exprs),
+    st.builds(Range, role_exprs, class_exprs),
+    st.builds(DataDomain, st.just(ex("d")), class_exprs),
+    st.builds(DisjointClasses, class_exprs, class_exprs),
+    st.builds(DisjointRoles, role_names, role_names),
+    role_names.map(irreflexive_axiom),
+    role_names.map(functional_axiom),
+    st.builds(SubClassOf, class_exprs,
+              st.builds(MaxCard, st.integers(0, 2), role_names.map(Role), named_classes)))
+individuals = st.sampled_from(INDIVIDUALS[:4])
+assertions = st.one_of(
+    st.builds(ClassAssertion, individuals, class_exprs),
+    st.builds(RoleAssertion, individuals, role_names, individuals),
+    st.builds(DataAssertion, individuals, st.just(ex("d")), st.just(Literal("v"))))
+
+
+class TestAgainstNaiveLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sets(axioms, max_size=10), st.sets(assertions, max_size=10))
+    def test_generated_ontologies(self, tbox, abox):
+        check_against_naive(ont_of(tbox, abox))
+
+    def test_fixture(self, social):
+        check_against_naive(social)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_ontology(self, seed):
+        check_against_naive(random_ontology(random.Random(seed)))

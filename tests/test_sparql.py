@@ -251,7 +251,11 @@ def _oracle_rows(graph: RdfGraph, patterns) -> set:
 
 @pytest.mark.parametrize("seed", range(60))
 def test_bgp_join_matches_brute_force_oracle(seed):
-    graph, patterns = _random_instance(random.Random(seed))
-    rows = [tuple(sorted(r.items())) for r in eval_bgp(graph, patterns).rows]
-    assert len(set(rows)) == len(rows)
-    assert set(rows) == _oracle_rows(graph, patterns)
+    rng = random.Random(seed)
+    graph, patterns = _random_instance(rng)
+    expected = _oracle_rows(graph, patterns)
+    # the patterns as written, then in a shuffled order
+    for order in (patterns, tuple(rng.sample(patterns, len(patterns)))):
+        rows = [tuple(sorted(r.items())) for r in eval_bgp(graph, order).rows]
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == expected
