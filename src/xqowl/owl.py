@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import RdfParseError, UnsupportedFeatureError
 from .rdf import RDF_NS, RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL, XSD_NS, \
-    Iri, Literal, Term, RdfGraph
+    Iri, Literal, Term, RdfGraph, term_key
 from .xmltree import QName, XmlNode, canonical_key, document, element, text
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
@@ -212,6 +212,12 @@ def irreflexive_axiom(role_iri: str) -> SubClassOf:
     return SubClassOf(ExistsSelf(Role(role_iri)), Nothing())
 
 
+# owl type marker of a role characteristic -> the axiom that encodes it
+_ROLE_MARKERS = (("SymmetricProperty", symmetric_axiom),
+                 ("IrreflexiveProperty", irreflexive_axiom),
+                 ("FunctionalProperty", functional_axiom))
+
+
 def named_classes_in(expr: ClassExpr) -> set[str]:
     """All class IRIs mentioned inside an expression (Thing/Nothing excluded)."""
     if isinstance(expr, Named):
@@ -287,7 +293,7 @@ def _class_exprs_of(axiom: Axiom) -> tuple[ClassExpr, ...]:
 # -- loading from an RDF graph ----------------------------------------------------
 
 _CLASS_KINDS = {"Class", "Restriction", "Thing", "Nothing"}
-_MARKER_KINDS = {"SymmetricProperty", "IrreflexiveProperty", "FunctionalProperty"}
+_MARKER_KINDS = {kind for kind, _ in _ROLE_MARKERS}
 _DECL_KINDS = {"ObjectProperty", "DatatypeProperty", "NamedIndividual", "Ontology"}
 _OWL_PREDICATES = {
     "equivalentClass", "disjointWith", "inverseOf", "propertyChainAxiom",
@@ -300,20 +306,23 @@ _RDFS_PREDICATES = {"subClassOf", "subPropertyOf", "domain", "range"}
 class _OntologyLoader:
     def __init__(self, graph: RdfGraph):
         self.graph = graph
-        typed = lambda kind: {s.value for s in graph.subjects(Iri(RDF_TYPE),
-                                                              Iri(OWL_NS + kind))}
+        typed = lambda kind: {t.subject.value for t in graph.match(
+            None, Iri(RDF_TYPE), Iri(OWL_NS + kind))}
         self.object_properties = typed("ObjectProperty")
         self.data_properties = typed("DatatypeProperty")
         self.individuals = typed("NamedIndividual")
         # anonymous scaffolding (intersection wrappers) is not a declared class
-        structural = {s.value for s in graph.subjects(Iri(OWL_NS + "intersectionOf"))}
+        structural = {t.subject.value
+                      for t in graph.match(None, Iri(OWL_NS + "intersectionOf"))}
         self.classes = typed("Class") - structural
 
     def check_vocabulary(self) -> None:
-        for triple in self.graph:
-            self._check_predicate(triple.predicate.value)
-            if triple.predicate.value == RDF_TYPE and isinstance(triple.object, Iri):
-                self._check_type_object(triple.object.value)
+        # in term order, so the construct reported does not depend on hashing
+        for predicate in sorted({t.predicate.value for t in self.graph}):
+            self._check_predicate(predicate)
+        for kind in sorted({t.object.value for t in self.graph
+                            if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri)}):
+            self._check_type_object(kind)
 
     def _check_predicate(self, iri: str) -> None:
         if iri.startswith(OWL_NS):
@@ -345,8 +354,10 @@ class _OntologyLoader:
         return self.graph.objects(Iri(subject), Iri(predicate))
 
     def pairs(self, predicate: str) -> list[tuple[Iri, Term]]:
-        return [(t.subject, t.object)
-                for t in self.graph.match(None, Iri(predicate), None)]
+        # sorted: the first error raised depends on the reading order
+        return sorted(((t.subject, t.object)
+                       for t in self.graph.match(None, Iri(predicate), None)),
+                      key=lambda pair: (term_key(pair[0]), term_key(pair[1])))
 
     def read_list(self, head: Term) -> list[Term]:
         members: list[Term] = []
@@ -447,9 +458,7 @@ class _OntologyLoader:
             axioms.append(RoleChain(self.role(links[0], "a chain link"),
                                     self.role(links[1], "a chain link"),
                                     Role(s.value)))
-        for kind, encode in (("SymmetricProperty", symmetric_axiom),
-                             ("IrreflexiveProperty", irreflexive_axiom),
-                             ("FunctionalProperty", functional_axiom)):
+        for kind, encode in _ROLE_MARKERS:
             for subject in self.graph.subjects(Iri(RDF_TYPE), Iri(OWL_NS + kind)):
                 if subject.value in self.data_properties:
                     raise UnsupportedFeatureError(
@@ -460,7 +469,8 @@ class _OntologyLoader:
     def load_abox(self) -> list[Assertion]:
         assertions: list[Assertion] = []
         for ind in sorted(self.individuals):
-            for triple in self.graph.match(Iri(ind), None, None):
+            for triple in sorted(self.graph.match(Iri(ind), None, None),
+                                 key=lambda t: (term_key(t.predicate), term_key(t.object))):
                 predicate = triple.predicate.value
                 obj = triple.object
                 if predicate == RDF_TYPE:
@@ -524,25 +534,18 @@ def _owl(local: str) -> QName:
     return QName(OWL_NS, local, "owl")
 
 
-def _symmetric_role(axiom: Axiom) -> str | None:
-    if isinstance(axiom, SubRoleOf) and isinstance(axiom.sub, Inverse) \
-            and isinstance(axiom.sup, Role) and axiom.sub.iri == axiom.sup.iri:
-        return axiom.sup.iri
-    return None
-
-
-def _functional_role(axiom: Axiom) -> str | None:
-    if isinstance(axiom, SubClassOf) and isinstance(axiom.sub, Thing) \
-            and isinstance(axiom.sup, MaxCard) and axiom.sup.n == 1 \
-            and isinstance(axiom.sup.role, Role) and isinstance(axiom.sup.filler, Thing):
-        return axiom.sup.role.iri
-    return None
-
-
-def _irreflexive_role(axiom: Axiom) -> str | None:
-    if isinstance(axiom, SubClassOf) and isinstance(axiom.sub, ExistsSelf) \
-            and isinstance(axiom.sub.role, Role) and isinstance(axiom.sup, Nothing):
-        return axiom.sub.role.iri
+def _marker_of(axiom: Axiom) -> tuple[str, str] | None:
+    """(role IRI, type marker) when the axiom encodes a role characteristic."""
+    if isinstance(axiom, SubRoleOf):
+        roles = {axiom.sub.iri}
+    elif isinstance(axiom, SubClassOf):
+        roles = roles_in(axiom.sub) | roles_in(axiom.sup)
+    else:
+        return None
+    for kind, encode in _ROLE_MARKERS:
+        for role in roles:
+            if encode(role) == axiom:
+                return role, kind
     return None
 
 
@@ -640,17 +643,9 @@ class _Renderer:
                    element(_rdf("type"), [(_rdf("resource"), OWL_NS + kind)]))
 
     def add_axiom(self, axiom: Axiom) -> None:
-        role = _symmetric_role(axiom)
-        if role is not None:
-            self.marker(role, "SymmetricProperty")
-            return
-        role = _irreflexive_role(axiom)
-        if role is not None:
-            self.marker(role, "IrreflexiveProperty")
-            return
-        role = _functional_role(axiom)
-        if role is not None:
-            self.marker(role, "FunctionalProperty")
+        marker = _marker_of(axiom)
+        if marker is not None:
+            self.marker(*marker)
             return
         if isinstance(axiom, SubClassOf):
             anchor = _named_class(axiom.sub)
@@ -780,10 +775,9 @@ def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
 
 def axiom_subjects(axiom: Axiom) -> tuple[str, ...]:
     """Entity IRIs an axiom is attributed to when selecting by subject."""
-    for extract in (_symmetric_role, _irreflexive_role, _functional_role):
-        role = extract(axiom)
-        if role is not None:
-            return (role,)
+    marker = _marker_of(axiom)
+    if marker is not None:
+        return (marker[0],)
     if isinstance(axiom, SubClassOf):
         return (axiom.sub.iri,) if isinstance(axiom.sub, Named) else ()
     if isinstance(axiom, (EquivalentClasses, DisjointClasses)):

@@ -6,6 +6,9 @@ IRI. RDF/XML input that would create blank nodes is either rejected
 (rdf:nodeID) or given deterministic generated IRIs (anonymous nested
 node elements and collection list cells), which keeps graphs queryable
 by IRI while accepting the usual OWL markup.
+
+Graph lookups return their matches in no particular order. Callers whose
+order reaches the output sort it themselves, once, by `term_key`.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ class RdfGraph:
 
     def match(self, subject: Iri | None = None, predicate: Iri | None = None,
               obj: Term | None = None) -> list[Triple]:
-        """All triples matching the given terms (None is a wildcard),
-        sorted by term lexicographic order."""
+        """All triples matching the given terms (None is a wildcard), in no
+        particular order."""
         candidates: set[Triple] | frozenset[Triple] | None = None
         for index, key in ((self._by_s, subject), (self._by_p, predicate),
                            (self._by_o, obj)):
@@ -117,25 +120,16 @@ class RdfGraph:
                 continue
             bucket = index.get(key, set())
             candidates = bucket if candidates is None else candidates & bucket
-        if candidates is None:
-            candidates = self.triples
-        return sorted(candidates,
-                      key=lambda t: (term_key(t.subject), term_key(t.predicate),
-                                     term_key(t.object)))
+        return list(self.triples if candidates is None else candidates)
 
     def subjects(self, predicate: Iri | None = None, obj: Term | None = None) -> list[Iri]:
-        seen = []
-        for t in self.match(None, predicate, obj):
-            if t.subject not in seen:
-                seen.append(t.subject)
-        return seen
+        """Distinct subjects of the matching triples, sorted by `term_key`."""
+        return sorted({t.subject for t in self.match(None, predicate, obj)}, key=term_key)
 
     def objects(self, subject: Iri | None = None, predicate: Iri | None = None) -> list[Term]:
-        seen = []
-        for t in self.match(subject, predicate, None):
-            if t.object not in seen:
-                seen.append(t.object)
-        return seen
+        """Distinct objects of the matching triples, sorted by `term_key`."""
+        return sorted({t.object for t in self.match(subject, predicate, None)},
+                      key=term_key)
 
 
 # -- RDF/XML reading ------------------------------------------------------------

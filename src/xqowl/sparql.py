@@ -25,9 +25,6 @@ _UNSUPPORTED = {
     "SERVICE", "GROUP", "HAVING",
 }
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-
-
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -254,34 +251,44 @@ def parse_sparql(text: str) -> SparqlQuery:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _ground(term: PatternTerm, row: dict[str, Term], base: str) -> Term | None:
-    """Concrete term for a pattern position, or None for a wildcard."""
-    if isinstance(term, Variable):
-        return row.get(term.name)
+def _resolve(term: PatternTerm, base: str) -> PatternTerm:
+    """A constant with `_:name` and relative IRIs resolved against the base."""
     if isinstance(term, FragmentRef):
-        return Iri(base.split("#", 1)[0] + "#" + term.name)
-    if isinstance(term, Iri) and not _SCHEME_RE.match(term.value):
+        return Iri(resolve_iri(base, "#" + term.name))
+    if isinstance(term, Iri):
         return Iri(resolve_iri(base, term.value))
     return term
 
 
-def eval_bgp(graph: RdfGraph, patterns: tuple[TriplePattern, ...] | list[TriplePattern],
-             variables: list[str] | None = None) -> SolutionTable:
+def _ground(term: PatternTerm, row: dict[str, Term]) -> Term | None:
+    """Concrete term for a resolved pattern position, or None for a wildcard."""
+    if isinstance(term, Variable):
+        return row.get(term.name)
+    return term
+
+
+def eval_bgp(graph: RdfGraph,
+             patterns: tuple[TriplePattern, ...] | list[TriplePattern]) -> SolutionTable:
     """Join the pattern list against the graph.
 
     Returns the rows over the patterns' variables in join order. They are
     distinct: the graph's triples are, and each pattern position is either
-    ground or a variable, so distinct matches give distinct bindings.
+    ground or a variable, so distinct matches give distinct bindings. The
+    order of the rows is unspecified, because graph lookups are unordered;
+    eval_select sorts the answer.
     """
-    if variables is None:
-        variables = SparqlQuery(None, tuple(patterns)).variables()
+    variables = SparqlQuery(None, tuple(patterns)).variables()
+    base = graph.base_iri
     rows: list[dict[str, Term]] = [{}]
     for pattern in patterns:
+        resolved = TriplePattern(_resolve(pattern.subject, base),
+                                 _resolve(pattern.predicate, base),
+                                 _resolve(pattern.object, base))
         next_rows: list[dict[str, Term]] = []
         for row in rows:
-            s = _ground(pattern.subject, row, graph.base_iri)
-            p = _ground(pattern.predicate, row, graph.base_iri)
-            o = _ground(pattern.object, row, graph.base_iri)
+            s = _ground(resolved.subject, row)
+            p = _ground(resolved.predicate, row)
+            o = _ground(resolved.object, row)
             for triple in graph.match(
                     s if isinstance(s, Iri) else None,
                     p if isinstance(p, Iri) else None,
@@ -290,7 +297,7 @@ def eval_bgp(graph: RdfGraph, patterns: tuple[TriplePattern, ...] | list[TripleP
                 if extended is not None:
                     next_rows.append(extended)
         rows = next_rows
-    return SolutionTable(variables=list(variables), rows=rows)
+    return SolutionTable(variables=variables, rows=rows)
 
 
 def _bind(row: dict[str, Term], pattern: TriplePattern, triple) -> dict[str, Term] | None:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,16 @@ def fixtures_dir() -> Path:
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def run_cli(args: list[str], hashseed: int | None = None) -> subprocess.CompletedProcess:
+    """Run `python ARGS` in a child process that imports xqowl from the
+    source tree, with PYTHONHASHSEED set when a hashseed is given."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = str(hashseed)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env)
 
 
 def steps_of(path: str, **namespaces: str) -> tuple:

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-from conftest import FIXTURES, SRC, fixture_text
+from conftest import FIXTURES, fixture_text
+from conftest import run_cli as run_process
 from xqowl import cli
 from xqowl.cli import main
 from xqowl.owl import load_ontology
@@ -84,10 +81,7 @@ class TestExitCodes:
         deep.write_text("<a>" * 3000 + "</a>" * 3000)
         prog = tmp_path / "p.xq"
         prog.write_text(f'<r>{{doc("{deep}")}}</r>')
-        proc = subprocess.run(
-            [sys.executable, "-m", "xqowl.cli", "run", str(prog)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        proc = run_process(["-m", "xqowl.cli", "run", str(prog)])
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
@@ -195,6 +189,17 @@ class TestQuery:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # two patterns and no ORDER BY: the rows come out of unordered lookups
+        query = ("PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
+                 "SELECT * WHERE { ?p foaf:knows ?q . ?q foaf:name ?name }")
+        runs = [run_process(["-m", "xqowl.cli", "query", query,
+                             "--data", fx("relations.rdf")], hashseed=seed)
+                for seed in (0, 1, 2)]
+        assert [proc.returncode for proc in runs] == [0, 0, 0]
+        assert len({proc.stdout for proc in runs}) == 1
+        assert runs[0].stdout.count("<result>") == 3
+
 
 class TestReason:
     def test_consistent(self, capsys):
@@ -288,6 +293,28 @@ class TestReason:
         assert out == ""
         assert target.read_text().splitlines() == sorted(
             SN + n for n in ("jesus", "luis", "vicente"))
+
+    def test_unsupported_construct_reported_does_not_depend_on_the_hash_seed(
+            self, tmp_path):
+        ontology = tmp_path / "mixed.owl"
+        ontology.write_text(
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+            ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
+            ' xmlns:owl="http://www.w3.org/2002/07/owl#"'
+            ' xml:base="http://ex.org/mixed.owl">'
+            '<owl:Class rdf:about="#A">'
+            "<rdfs:comment>a class</rdfs:comment><rdfs:label>A</rdfs:label>"
+            '<owl:unionOf rdf:parseType="Collection">'
+            '<owl:Class rdf:about="#B"/><owl:Class rdf:about="#C"/>'
+            "</owl:unionOf></owl:Class>"
+            '<owl:ObjectProperty rdf:about="#r"><rdf:type rdf:resource='
+            '"http://www.w3.org/2002/07/owl#TransitiveProperty"/>'
+            "</owl:ObjectProperty></rdf:RDF>")
+        errors = {run_process(["-m", "xqowl.cli", "reason", "--task", "consistent",
+                               "--ontology", str(ontology)], hashseed=seed).stderr
+                  for seed in range(8)}
+        # predicates are checked in term order, and rdfs:comment sorts first
+        assert errors == {"error: rdfs:comment is not supported\n"}
 
 
 CLASH_LINES = [

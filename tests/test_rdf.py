@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from conftest import fixture_text, steps_of
@@ -97,8 +100,8 @@ def test_relations_expected_facts():
     assert Triple(rel("b1"), knows, rel("b6")) in graph
     assert Triple(rel("b4"), knows, rel("b6")) in graph
     assert Triple(rel("b1"), Iri(FOAF + "name"), Literal("Alice")) in graph
-    assert graph.match(None, Iri(RDF_TYPE), Iri(FOAF + "Person")) == [
-        Triple(rel(f), Iri(RDF_TYPE), Iri(FOAF + "Person")) for f in ("b1", "b4", "b6")]
+    assert set(graph.match(None, Iri(RDF_TYPE), Iri(FOAF + "Person"))) == {
+        Triple(rel(f), Iri(RDF_TYPE), Iri(FOAF + "Person")) for f in ("b1", "b4", "b6")}
 
 
 def test_match_wildcards_and_ordering():
@@ -106,12 +109,39 @@ def test_match_wildcards_and_ordering():
     assert len(graph.match()) == 9
     from_b1 = graph.match(subject=rel("b1"))
     assert len(from_b1) == 4
-    assert from_b1 == sorted(from_b1, key=lambda t: (term_key(t.subject),
-                                                     term_key(t.predicate),
-                                                     term_key(t.object)))
+    assert set(from_b1) == {t for t in graph.triples if t.subject == rel("b1")}
     assert graph.match(rel("b6"), Iri(FOAF + "knows"), None) == []
     assert graph.objects(rel("b4"), Iri(FOAF + "knows")) == [rel("b6")]
     assert graph.subjects(Iri(FOAF + "name"), Literal("Bob")) == [rel("b4")]
+
+
+def _filtered(graph: RdfGraph, subject, predicate, obj) -> set[Triple]:
+    """The brute-force answer to a lookup: scan every triple."""
+    return {t for t in graph.triples
+            if subject in (None, t.subject) and predicate in (None, t.predicate)
+            and obj in (None, t.object)}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lookups_match_a_brute_force_scan(seed):
+    rng = random.Random(seed)
+    iris = [Iri(f"http://t/#{c}") for c in "abcdef"]
+    terms = iris + [Literal("x"), Literal("x", language="en"),
+                    Literal("1", datatype="http://t/#int")]
+    graph = RdfGraph({Triple(rng.choice(iris), rng.choice(iris[:3]), rng.choice(terms))
+                      for _ in range(rng.randrange(0, 40))})
+    # each position a wildcard or a term, which may occur nowhere in the graph
+    for s, p, o in itertools.product((None, rng.choice(iris)), (None, rng.choice(iris)),
+                                     (None, rng.choice(terms))):
+        matches = graph.match(s, p, o)
+        assert len(matches) == len(set(matches))
+        assert set(matches) == _filtered(graph, s, p, o)
+        matches.clear()  # the caller's copy, not the graph's index
+        assert set(graph.match(s, p, o)) == _filtered(graph, s, p, o)
+        assert graph.subjects(p, o) == sorted(
+            {t.subject for t in _filtered(graph, None, p, o)}, key=term_key)
+        assert graph.objects(s, p) == sorted(
+            {t.object for t in _filtered(graph, s, p, None)}, key=term_key)
 
 
 def test_typed_literals_and_plain_literals():

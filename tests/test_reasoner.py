@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import SRC, fixture_text
+from conftest import fixture_text, run_cli
 from xqowl.errors import InconsistentOntologyError, UnsupportedFeatureError
 from xqowl.owl import (
     And, Assertion, ClassAssertion, ClassExpr, DataAssertion, DataDomain,
@@ -371,11 +368,7 @@ class TestWitnesses:
             "tbox = {SubClassOf(A, And((Exists(r, A), Exists(Inverse('urn:ex:r'), A))))}\n"
             "abox = {ClassAssertion(f'urn:ex:i{k}', A) for k in range(20)}\n"
             "print(sorted(saturate(Ontology('', frozenset(tbox), frozenset(abox))).fresh))\n")
-        outputs = {subprocess.run(
-            [sys.executable, "-c", program], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": str(SRC),
-                             "PYTHONHASHSEED": seed}).stdout
-            for seed in ("1", "2", "3")}
+        outputs = {run_cli(["-c", program], hashseed=seed).stdout for seed in (1, 2, 3)}
         assert len(outputs) == 1 and outputs.pop().count("urn:witness:") == 40
 
 

@@ -110,7 +110,7 @@ def test_eval_friends_of_b1(relations):
         TriplePattern(Variable("F"), Iri(FOAF + "name"), Variable("FName")),
     ))
     assert table.variables == ["F", "FName"]
-    assert table.rows == [
+    assert sorted(table.rows, key=lambda r: r["F"].value) == [
         {"F": rel("b4"), "FName": Literal("Bob")},
         {"F": rel("b6"), "FName": Literal("Charles")},
     ]
