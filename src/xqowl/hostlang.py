@@ -38,12 +38,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import HostSyntaxError
 from .xmltree import QName, XML_NS
 from .xpaths import AttrEquals, HasChild, Predicate, Step
 
 _NAME_RE = re.compile(r"[^\W\d][\w.\-]*")
+_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+_LITERAL_RE = re.compile(r"[^{}&<\"']+")
 
 FUNCTION_PREFIXES = ("fn", "xqowl", "sw", "functx")
 
@@ -251,12 +254,6 @@ class _Parser:
 
     # -- name resolution --------------------------------------------------------
 
-    def resolve_prefix(self, prefix: str) -> str:
-        try:
-            return self.namespaces[prefix]
-        except KeyError:
-            raise self.error(f"undeclared namespace prefix {prefix!r}") from None
-
     def _split_qname(self) -> tuple[str | None, str]:
         first = self.raw_name()
         if self.peek() == ":" and not self.text.startswith("::", self.pos):
@@ -264,17 +261,14 @@ class _Parser:
             return first, self.raw_name()
         return None, first
 
-    def element_qname(self) -> QName:
-        prefix, local = self._split_qname()
-        if prefix is not None:
-            return QName(self.resolve_prefix(prefix), local, prefix=prefix)
-        return QName(self.default_elem_ns, local)
-
-    def attribute_qname(self) -> QName:
-        prefix, local = self._split_qname()
-        if prefix is not None:
-            return QName(self.resolve_prefix(prefix), local, prefix=prefix)
-        return QName(None, local)
+    def qname(self, prefix: str | None, local: str, default_ns: str | None) -> QName:
+        """Resolve a split name; an unprefixed one takes default_ns."""
+        if prefix is None:
+            return QName(default_ns, local)
+        try:
+            return QName(self.namespaces[prefix], local, prefix=prefix)
+        except KeyError:
+            raise self.error(f"undeclared namespace prefix {prefix!r}") from None
 
     # -- grammar ----------------------------------------------------------------
 
@@ -304,41 +298,30 @@ class _Parser:
         return self.comparison()
 
     def flwor(self) -> Expr:
-        clauses: list[tuple[str, str | None, Expr]] = []
+        # (ForExpr or LetExpr, variable, bound expression), or (None, None, where)
+        clauses: list[tuple[type | None, str | None, Expr]] = []
         while True:
             word = self.peek_word()
-            if word == "for":
-                self.keyword("for")
+            if word in ("for", "let"):
+                self.pos += len(word)
+                make, expect_sep, sep = ((ForExpr, self.expect_keyword, "in")
+                                         if word == "for" else (LetExpr, self.expect, ":="))
                 while True:
                     self.expect("$")
                     var = self.raw_name()
-                    self.expect_keyword("in")
-                    clauses.append(("for", var, self.expr()))
-                    if not self.take(","):
-                        break
-            elif word == "let":
-                self.keyword("let")
-                while True:
-                    self.expect("$")
-                    var = self.raw_name()
-                    self.expect(":=")
-                    clauses.append(("let", var, self.expr()))
+                    expect_sep(sep)
+                    clauses.append((make, var, self.expr()))
                     if not self.take(","):
                         break
             elif word == "where":
-                self.keyword("where")
-                clauses.append(("where", None, self.expr()))
+                self.pos += len(word)
+                clauses.append((None, None, self.expr()))
             else:
                 break
         self.expect_keyword("return")
         body = self.expr()
-        for kind, var, bound in reversed(clauses):
-            if kind == "for":
-                body = ForExpr(var, bound, body)
-            elif kind == "let":
-                body = LetExpr(var, bound, body)
-            else:
-                body = IfExpr(bound, body, SequenceExpr(()))
+        for make, var, bound in reversed(clauses):
+            body = make(var, bound, body) if make else IfExpr(bound, body, SequenceExpr(()))
         return body
 
     def if_expr(self) -> Expr:
@@ -392,7 +375,8 @@ class _Parser:
         self.ws()
         if self.take("@"):
             self.ws()
-            return Step("attribute", self.attribute_qname(), self.predicates())
+            return Step("attribute", self.qname(*self._split_qname(), None),
+                        self.predicates())
         if self.take("*"):
             return Step("child", "*", self.predicates())
         mark = self.pos
@@ -403,20 +387,20 @@ class _Parser:
         if prefix is None and local == "text" and self.take("("):
             self.expect(")")
             return Step("child", "text()", self.predicates())
-        self.pos = mark
-        return Step("child", self.element_qname(), self.predicates())
+        return Step("child", self.qname(prefix, local, self.default_elem_ns),
+                    self.predicates())
 
     def predicates(self) -> tuple[Predicate, ...]:
         out: list[Predicate] = []
         while self.take("["):
             if self.take("@"):
                 self.ws()
-                name = self.attribute_qname()
+                name = self.qname(*self._split_qname(), None)
                 self.expect("=")
                 out.append(AttrEquals(name, self.string_literal()))
             else:
                 self.ws()
-                out.append(HasChild(self.element_qname()))
+                out.append(HasChild(self.qname(*self._split_qname(), self.default_elem_ns)))
             self.expect("]")
         return tuple(out)
 
@@ -429,11 +413,16 @@ class _Parser:
             self.pos += 1
             return VarRef(self.raw_name())
         if ch == "(":
-            return self.parenthesized()
+            self.pos += 1
+            items = self.expr_list()
+            return items[0] if len(items) == 1 else SequenceExpr(items)
         if ch == "<":
             return self.constructor()
-        if ch.isdigit():
-            return self.number()
+        number = _NUMBER_RE.match(self.text, self.pos)
+        if number:
+            self.pos = number.end()
+            literal = number.group()
+            return NumberLit(float(literal) if "." in literal else int(literal))
         word = self.peek_word()
         if not word:
             raise self.error("expected an expression")
@@ -445,45 +434,30 @@ class _Parser:
                 self.expect("}")
                 return DocumentCtor(content)
             self.pos = mark
-        return self.function_call()
-
-    def parenthesized(self) -> Expr:
-        self.expect("(")
-        if self.take(")"):
-            return SequenceExpr(())
-        items = [self.expr()]
-        while self.take(","):
-            items.append(self.expr())
-        self.expect(")")
-        return items[0] if len(items) == 1 else SequenceExpr(tuple(items))
-
-    def number(self) -> NumberLit:
-        m = re.compile(r"\d+(\.\d+)?").match(self.text, self.pos)
-        assert m is not None
-        self.pos = m.end()
-        literal = m.group()
-        return NumberLit(float(literal) if "." in literal else int(literal))
-
-    def function_call(self) -> FnCall:
         prefix, local = self._split_qname()
         prefix = prefix or "fn"
         if prefix not in FUNCTION_PREFIXES:
             raise self.error(f"unknown function namespace prefix {prefix!r}")
         self.expect("(")
-        args: list[Expr] = []
-        if not self.take(")"):
-            args.append(self.expr())
-            while self.take(","):
-                args.append(self.expr())
-            self.expect(")")
-        return FnCall(prefix, local, tuple(args))
+        return FnCall(prefix, local, self.expr_list())
+
+    def expr_list(self) -> tuple[Expr, ...]:
+        """Comma-separated expressions after '(', up to and including ')'."""
+        if self.take(")"):
+            return ()
+        items = [self.expr()]
+        while self.take(","):
+            items.append(self.expr())
+        self.expect(")")
+        return tuple(items)
 
     # -- direct constructors ----------------------------------------------------
 
     def constructor(self) -> ElementCtor:
         self.expect("<")
+        start = self.pos
         open_prefix, open_local = self._split_qname()
-        open_tag = f"{open_prefix}:{open_local}" if open_prefix else open_local
+        open_tag = self.text[start:self.pos]
         saved = (dict(self.namespaces), self.default_elem_ns)
         try:
             raw_attrs: list[tuple[str | None, str, tuple[str | Expr, ...]]] = []
@@ -501,14 +475,12 @@ class _Parser:
                     self.namespaces[local] = self._xmlns_value(parts)
                 else:
                     raw_attrs.append((prefix, local, parts))
-            name = self._resolve_ctor_name(open_prefix, open_local)
-            attrs = tuple((self._resolve_ctor_attr(p, l), parts)
-                          for p, l, parts in raw_attrs)
+            name = self.qname(open_prefix, open_local, self.default_elem_ns)
+            attrs = tuple((self.qname(p, l, None), parts) for p, l, parts in raw_attrs)
             if self.take("/>"):
                 return ElementCtor(name, attrs, ())
             self.expect(">")
-            content = self.element_content(open_tag)
-            return ElementCtor(name, attrs, content)
+            return ElementCtor(name, attrs, self.element_content(open_tag))
         finally:
             self.namespaces, self.default_elem_ns = saved
 
@@ -517,123 +489,94 @@ class _Parser:
             raise self.error("a namespace declaration must be a literal value")
         return "".join(parts)  # type: ignore[arg-type]
 
-    def _resolve_ctor_name(self, prefix: str | None, local: str) -> QName:
-        if prefix is not None:
-            return QName(self.resolve_prefix(prefix), local, prefix=prefix)
-        return QName(self.default_elem_ns, local)
-
-    def _resolve_ctor_attr(self, prefix: str | None, local: str) -> QName:
-        if prefix is not None:
-            return QName(self.resolve_prefix(prefix), local, prefix=prefix)
-        return QName(None, local)
-
     def attr_value(self) -> tuple[str | Expr, ...]:
         quote = self.peek()
         if quote not in ("'", '"'):
             raise self.error("expected a quoted attribute value")
         self.pos += 1
-        parts: list[str | Expr] = []
-        buf: list[str] = []
-
-        def flush() -> None:
-            if buf:
-                parts.append("".join(buf))
-                buf.clear()
-
+        units: list[str | Expr] = []
         while True:
             if self.at_end():
                 raise self.error("unterminated attribute value")
             ch = self.text[self.pos]
             if ch == quote:
                 self.pos += 1
-                flush()
-                return tuple(parts)
-            if ch == "{":
-                if self.text.startswith("{{", self.pos):
-                    buf.append("{")
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                flush()
-                parts.append(self.expr())
-                self.expect("}")
-            elif ch == "}":
-                if not self.text.startswith("}}", self.pos):
-                    raise self.error("'}' outside an enclosed expression")
-                buf.append("}")
-                self.pos += 2
-            elif ch == "&":
-                buf.append(self.entity())
-            elif ch == "<":
+                return _text_runs(units, keep_whitespace=True)
+            if ch == "<":
                 raise self.error("'<' is not allowed in an attribute value")
-            else:
-                buf.append(ch)
-                self.pos += 1
+            units.append(self.content_unit())
 
     def element_content(self, open_tag: str) -> tuple[str | Expr, ...]:
-        parts: list[str | Expr] = []
-        buf: list[str] = []
-
-        def flush() -> None:
-            # whitespace-only literal runs are boundary whitespace
-            chunk = "".join(buf)
-            buf.clear()
-            if chunk and chunk.strip():
-                parts.append(chunk)
-
+        units: list[str | Expr] = []
         while True:
             if self.at_end():
                 raise self.error(f"unterminated element <{open_tag}>")
-            ch = self.text[self.pos]
-            if ch == "<":
-                if self.text.startswith("</", self.pos):
-                    flush()
-                    self.pos += 2
-                    close_prefix, close_local = self._split_qname()
-                    close_tag = f"{close_prefix}:{close_local}" \
-                        if close_prefix else close_local
-                    if close_tag != open_tag:
-                        raise self.error(f"mismatched closing tag </{close_tag}> "
-                                         f"for <{open_tag}>")
-                    self.ws()
-                    if not self.text.startswith(">", self.pos):
-                        raise self.error("expected '>'")
-                    self.pos += 1
-                    return tuple(parts)
-                if self.text.startswith("<!--", self.pos):
-                    end = self.text.find("-->", self.pos + 4)
-                    if end < 0:
-                        raise self.error("unterminated comment")
-                    self.pos = end + 3
-                    continue
-                flush()
-                parts.append(self.constructor())
-            elif ch == "{":
-                if self.text.startswith("{{", self.pos):
-                    buf.append("{")
-                    self.pos += 2
-                    continue
+            if self.text.startswith("</", self.pos):
+                start = self.pos = self.pos + 2
+                self._split_qname()
+                close_tag = self.text[start:self.pos]
+                if close_tag != open_tag:
+                    raise self.error(f"mismatched closing tag </{close_tag}> "
+                                     f"for <{open_tag}>")
+                self.ws()
+                if not self.text.startswith(">", self.pos):
+                    raise self.error("expected '>'")
                 self.pos += 1
-                flush()
-                parts.append(self.expr())
-                self.expect("}")
-            elif ch == "}":
-                if not self.text.startswith("}}", self.pos):
-                    raise self.error("'}' outside an enclosed expression")
-                buf.append("}")
-                self.pos += 2
-            elif ch == "&":
-                buf.append(self.entity())
+                return _text_runs(units, keep_whitespace=False)
+            if self.text.startswith("<!--", self.pos):
+                end = self.text.find("-->", self.pos + 4)
+                if end < 0:
+                    raise self.error("unterminated comment")
+                self.pos = end + 3
+            elif self.text[self.pos] == "<":
+                units.append(self.constructor())
             else:
-                buf.append(ch)
-                self.pos += 1
+                units.append(self.content_unit())
 
-    def entity(self) -> str:
-        end = self.text.find(";", self.pos)
-        if end < 0:
-            raise self.error("unterminated entity reference")
-        name = self.text[self.pos + 1:end]
-        if name not in _ENTITIES:
-            raise self.error(f"unsupported entity reference &{name};")
-        self.pos = end + 1
-        return _ENTITIES[name]
+    def content_unit(self) -> str | Expr:
+        """One unit of constructor text: an escaped brace, an enclosed
+        expression, an entity reference or a run of literal characters."""
+        ch = self.text[self.pos]
+        if ch == "{":
+            if self.text.startswith("{{", self.pos):
+                self.pos += 2
+                return "{"
+            self.pos += 1
+            expr = self.expr()
+            self.expect("}")
+            return expr
+        if ch == "}":
+            if not self.text.startswith("}}", self.pos):
+                raise self.error("'}' outside an enclosed expression")
+            self.pos += 2
+            return "}"
+        if ch == "&":
+            end = self.text.find(";", self.pos)
+            if end < 0:
+                raise self.error("unterminated entity reference")
+            name = self.text[self.pos + 1:end]
+            if name not in _ENTITIES:
+                raise self.error(f"unsupported entity reference &{name};")
+            self.pos = end + 1
+            return _ENTITIES[name]
+        literal = _LITERAL_RE.match(self.text, self.pos)
+        if literal is None:  # a quote, which ends a run as it may end a value
+            self.pos += 1
+            return ch
+        self.pos = literal.end()
+        return literal.group()
+
+
+def _text_runs(units: list[str | Expr], keep_whitespace: bool) -> tuple[str | Expr, ...]:
+    """Join adjacent characters into literal chunks. Without
+    keep_whitespace, whitespace-only chunks are boundary whitespace and
+    are dropped."""
+    parts: list[str | Expr] = []
+    for is_text, run in groupby(units, key=lambda unit: isinstance(unit, str)):
+        if is_text:
+            chunk = "".join(run)
+            if keep_whitespace or chunk.strip():
+                parts.append(chunk)
+        else:
+            parts.extend(run)
+    return tuple(parts)

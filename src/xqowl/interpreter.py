@@ -196,31 +196,33 @@ class Interpreter:
                     values = self.eval(part, scope)
                     rendered.append(" ".join(item_string(v) for v in values))
             attrs.append((name, "".join(rendered)))
-        children: list[XmlNode] = []
+        # created before its content, so node_id keeps document order
+        node = xmltree.element(ctor.name, attrs)
         for part in ctor.content:
             if isinstance(part, str):
-                children.append(xmltree.text(part))
+                node.append(xmltree.text(part))
                 continue
             atoms: list[str] = []
 
             def flush() -> None:
                 if atoms:
-                    children.append(xmltree.text(" ".join(atoms)))
+                    node.append(xmltree.text(" ".join(atoms)))
                     atoms.clear()
 
             for value in self.eval(part, scope):
                 if isinstance(value, XmlNode):
                     flush()
                     if value.kind == "document":
-                        children.extend(clone(c) for c in value.children)
+                        for child in value.children:
+                            node.append(clone(child))
                     elif value.kind == "attribute":
                         raise EvalError("attribute node in element content")
                     else:
-                        children.append(clone(value))
+                        node.append(clone(value))
                 else:
                     atoms.append(item_string(value))
             flush()
-        return xmltree.element(ctor.name, attrs, children)
+        return node
 
     def _construct_document(self, ctor: DocumentCtor, scope: dict[str, list]) -> XmlNode:
         values = self.eval(ctor.content, scope)
@@ -228,7 +230,9 @@ class Interpreter:
                     if isinstance(v, XmlNode) and v.kind == "element"]
         if len(elements) != len(values) or len(elements) != 1:
             raise EvalError("a document constructor requires exactly one element")
-        return xmltree.document(clone(elements[0]))
+        doc = XmlNode("document")
+        doc.append(clone(elements[0]))
+        return doc
 
 
 def evaluate(program: Program, env: Environment | None = None) -> list:

@@ -315,6 +315,8 @@ class _OntologyLoader:
         structural = {t.subject.value
                       for t in graph.match(None, Iri(OWL_NS + "intersectionOf"))}
         self.classes = typed("Class") - structural
+        # one load reads a fixed graph, so each term's expression is read once
+        self._class_exprs: dict[Term, ClassExpr] = {}
 
     def check_vocabulary(self) -> None:
         # in term order, so the construct reported does not depend on hashing
@@ -378,6 +380,12 @@ class _OntologyLoader:
         return Role(term.value)
 
     def class_expr(self, term: Term) -> ClassExpr:
+        expr = self._class_exprs.get(term)
+        if expr is None:
+            expr = self._class_exprs[term] = self._read_class_expr(term)
+        return expr
+
+    def _read_class_expr(self, term: Term) -> ClassExpr:
         if not isinstance(term, Iri):
             raise RdfParseError("a literal cannot appear in class position")
         iri = term.value

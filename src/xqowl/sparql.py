@@ -288,11 +288,9 @@ def eval_bgp(graph: RdfGraph,
         for row in rows:
             s = _ground(resolved.subject, row)
             p = _ground(resolved.predicate, row)
-            o = _ground(resolved.object, row)
-            for triple in graph.match(
-                    s if isinstance(s, Iri) else None,
-                    p if isinstance(p, Iri) else None,
-                    o):
+            if isinstance(s, Literal) or isinstance(p, Literal):
+                continue  # a literal is never a subject or a predicate
+            for triple in graph.match(s, p, _ground(resolved.object, row)):
                 extended = _bind(row, pattern, triple)
                 if extended is not None:
                     next_rows.append(extended)

@@ -56,8 +56,11 @@ class XmlNode:
 
     kind is one of "document", "element", "attribute", "text".
     Identity (used for parent navigation and document-order dedup) is
-    per-node: node_id increases monotonically in creation order, which
-    coincides with document order for parsed and constructed trees.
+    per-node: node_id increases monotonically in creation order. That is
+    document order for parsed trees, clones and trees from the host
+    language's element and document constructors, which create a node
+    before its content. Trees built bottom-up (the sw: builders,
+    write_sparql_results, axioms_to_xml) number children before parents.
     Structural comparison is a separate operation (canonical_equal).
     """
 

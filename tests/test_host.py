@@ -191,6 +191,57 @@ class TestParser:
             parse_program("let $x :=\n   ;")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("source,parts", [
+        ('<x a="{{"/>', ("{",)),
+        ('<x a="}}"/>', ("}",)),
+        ('<x a="&amp;"/>', ("&",)),
+        ('<x a="{1}"/>', (NumberLit(1),)),
+        ('<x a=" {1} "/>', (" ", NumberLit(1), " ")),
+        ('<x a=" {{ {$v} &lt; "/>', (" { ", VarRef("v"), " < ")),
+        ("<x a='say \"hi\"'/>", ('say "hi"',)),
+    ])
+    def test_attribute_value_text(self, source, parts):
+        # the same escapes as element content, but whitespace is kept
+        ((_, value),) = parse_program(source).body.attrs
+        assert value == parts
+
+    def test_quotes_are_literal_in_element_content(self):
+        prog = parse_program("<x>say \"hi\", it's {1}</x>")
+        assert prog.body.content == ('say "hi", it\'s ', NumberLit(1))
+
+    @pytest.mark.parametrize("source,message,line,column", [
+        ('<x a="}"/>', "'}' outside an enclosed expression", 1, 7),
+        ("<x>\n  }</x>", "'}' outside an enclosed expression", 2, 3),
+        ('<x a="<"/>', "'<' is not allowed in an attribute value", 1, 7),
+        ('<x a="abc', "unterminated attribute value", 1, 10),
+        ("<x>abc", "unterminated element <x>", 1, 7),
+        ("f(1,", "expected an expression", 1, 5),
+        ("for $x := 1 return $x", "expected 'in'", 1, 8),
+        ("let $x in 1 return $x", "expected ':='", 1, 8),
+        ("(\u00b2)", "expected '('", 1, 3),  # a digit to isdigit, a name to the grammar
+    ])
+    def test_syntax_error_message_and_position(self, source, message, line, column):
+        with pytest.raises(HostSyntaxError) as err:
+            parse_program(source)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("source,expr", [
+        ("f()", FnCall("fn", "f", ())),
+        ("f(1, 2)", FnCall("fn", "f", (NumberLit(1), NumberLit(2)))),
+        ("()", SequenceExpr(())),
+        ("(1)", NumberLit(1)),
+    ])
+    def test_expression_lists(self, source, expr):
+        assert parse_program(source).body == expr
+
+    def test_multi_binding_for(self):
+        prog = parse_program("for $a in 1, $b in 2 return ($a, $b)")
+        assert prog.body == ForExpr(
+            "a", NumberLit(1),
+            ForExpr("b", NumberLit(2),
+                    SequenceExpr((VarRef("a"), VarRef("b")))))
+
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_fixture_programs_parse(self, name):
         parse_program(fixture_text(name))
@@ -263,6 +314,15 @@ class TestEvaluation:
         result = evaluate(parse_program("(/r/a union /r/*) union /r/b"), env)
         root = child_elements(doc)[0]
         assert result == root.children
+
+    @pytest.mark.parametrize("source,kinds", [
+        ("let $e := <r><a/></r> return ($e union $e/a)", ["r", "a"]),
+        ("let $d := document{<r><a/></r>} return ($d/r union $d)",
+         ["document", "r"]),
+    ])
+    def test_union_of_constructed_tree_is_in_document_order(self, source, kinds):
+        # a constructed node is created before its content
+        assert [n.name.local if n.name else n.kind for n in run_text(source)] == kinds
 
     def test_union_of_fresh_nodes_concatenates(self):
         result = run_text("<a/> union <a/>")

@@ -182,6 +182,22 @@ def test_repeated_variable_within_one_pattern():
     assert table.rows == [{"x": Iri("http://e/#a")}]
 
 
+def test_literal_binding_in_subject_or_predicate_skips_the_row(monkeypatch):
+    # ?n is bound to a literal, which no triple has as subject or predicate
+    graph = RdfGraph([Triple(Iri(f"http://e/#p{i}"), Iri(FOAF + "name"), Literal(f"n{i}"))
+                      for i in range(20)], base_iri="http://e/")
+    calls = []
+    match = RdfGraph.match
+    monkeypatch.setattr(RdfGraph, "match",
+                        lambda self, *terms: calls.append(terms) or match(self, *terms))
+    name = TriplePattern(Variable("a"), Iri(FOAF + "name"), Variable("n"))
+    for second in (TriplePattern(Variable("n"), Iri(FOAF + "knows"), Variable("b")),
+                   TriplePattern(Variable("b"), Variable("n"), Variable("c"))):
+        calls.clear()
+        assert eval_bgp(graph, (name, second)).rows == []
+        assert len(calls) == 1
+
+
 def test_join_commutativity(relations):
     patterns = (
         TriplePattern(Variable("P"), Iri(FOAF + "knows"), Variable("Q")),
