@@ -311,6 +311,13 @@ def _sw_id(env, value: list) -> list:
     return [] if raw is None else ["#" + raw]
 
 
+def _property_name(local: str, what: str) -> QName:
+    try:
+        return QName(None, local)
+    except ValueError as exc:
+        raise EvalError(f"{what}: {exc}") from None
+
+
 def _named_individual(about: str, child: XmlNode) -> XmlNode:
     return xmltree.element(
         QName(OWL_NS, "NamedIndividual", prefix="owl"),
@@ -336,7 +343,7 @@ def _sw_data_filler(env, *args: list) -> list:
         return []
     ind, prop, value, datatype = values
     holder = xmltree.element(
-        QName(None, prop),
+        _property_name(prop, "sw:toDataFiller"),
         [(QName(RDF_NS, "datatype", prefix="rdf"), XSD_NS + datatype)],
         [xmltree.text(value.strip())])
     return [_named_individual(ind, holder)]
@@ -348,6 +355,6 @@ def _sw_object_filler(env, *args: list) -> list:
     if values is None:
         return []
     ind, prop, target = values
-    holder = xmltree.element(QName(None, prop),
+    holder = xmltree.element(_property_name(prop, "sw:toObjectFiller"),
                              [(QName(RDF_NS, "resource", prefix="rdf"), target)])
     return [_named_individual(ind, holder)]

@@ -17,6 +17,8 @@ loaded resources are never mutated.
 from __future__ import annotations
 
 import tempfile
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from . import xmltree
@@ -115,61 +117,60 @@ class Interpreter:
         return self.eval(program.body, scope)
 
     def eval(self, expr: Expr, scope: dict[str, list]) -> list:
-        if isinstance(expr, StringLit):
-            return [expr.value]
-        if isinstance(expr, NumberLit):
-            return [expr.value]
-        if isinstance(expr, VarRef):
-            try:
-                return scope[expr.name]
-            except KeyError:
-                raise EvalError(f"unbound variable ${expr.name}") from None
-        if isinstance(expr, SequenceExpr):
-            out: list = []
-            for item in expr.items:
-                out.extend(self.eval(item, scope))
-            return out
-        if isinstance(expr, LetExpr):
-            bound = self.eval(expr.value, scope)
-            return self.eval(expr.body, {**scope, expr.var: bound})
-        if isinstance(expr, ForExpr):
-            out = []
-            for item in self.eval(expr.seq, scope):
-                out.extend(self.eval(expr.body, {**scope, expr.var: [item]}))
-            return out
-        if isinstance(expr, IfExpr):
-            if effective_boolean(self.eval(expr.cond, scope)):
-                return self.eval(expr.then, scope)
-            return self.eval(expr.orelse, scope)
-        if isinstance(expr, Compare):
-            left = [item_string(i) for i in atomize(self.eval(expr.left, scope))]
-            right = [item_string(i) for i in atomize(self.eval(expr.right, scope))]
-            if expr.op == "=":
-                return [any(a == b for a in left for b in right)]
-            return [any(a != b for a in left for b in right)]
-        if isinstance(expr, UnionExpr):
-            return self._union(self.eval(expr.left, scope),
-                               self.eval(expr.right, scope))
-        if isinstance(expr, PathApply):
-            return self._path(expr, scope)
-        if isinstance(expr, FnCall):
-            args = [self.eval(a, scope) for a in expr.args]
-            return call_builtin(self.env, expr.prefix, expr.name, args)
-        if isinstance(expr, ElementCtor):
-            return [self._construct_element(expr, scope)]
-        if isinstance(expr, DocumentCtor):
-            return [self._construct_document(expr, scope)]
-        raise EvalError(f"cannot evaluate {type(expr).__name__}")
+        method = _EVAL.get(type(expr))
+        if method is None:
+            raise EvalError(f"cannot evaluate {type(expr).__name__}")
+        return method(self, expr, scope)
 
-    # -- composite forms ----------------------------------------------------------
+    # -- one method per expression type, dispatched through _EVAL -----------------
 
-    def _union(self, left: list, right: list) -> list:
-        items = left + right
+    def _literal(self, expr: StringLit | NumberLit, scope: dict[str, list]) -> list:
+        return [expr.value]
+
+    def _var(self, expr: VarRef, scope: dict[str, list]) -> list:
+        try:
+            return scope[expr.name]
+        except KeyError:
+            raise EvalError(f"unbound variable ${expr.name}") from None
+
+    def _sequence(self, expr: SequenceExpr, scope: dict[str, list]) -> list:
+        out: list = []
+        for item in expr.items:
+            out.extend(self.eval(item, scope))
+        return out
+
+    def _let(self, expr: LetExpr, scope: dict[str, list]) -> list:
+        bound = self.eval(expr.value, scope)
+        return self.eval(expr.body, {**scope, expr.var: bound})
+
+    def _for(self, expr: ForExpr, scope: dict[str, list]) -> list:
+        out = []
+        for item in self.eval(expr.seq, scope):
+            out.extend(self.eval(expr.body, {**scope, expr.var: [item]}))
+        return out
+
+    def _if(self, expr: IfExpr, scope: dict[str, list]) -> list:
+        if effective_boolean(self.eval(expr.cond, scope)):
+            return self.eval(expr.then, scope)
+        return self.eval(expr.orelse, scope)
+
+    def _compare(self, expr: Compare, scope: dict[str, list]) -> list:
+        left = [item_string(i) for i in atomize(self.eval(expr.left, scope))]
+        right = [item_string(i) for i in atomize(self.eval(expr.right, scope))]
+        if expr.op == "=":
+            return [any(a == b for a in left for b in right)]
+        return [any(a != b for a in left for b in right)]
+
+    def _union(self, expr: UnionExpr, scope: dict[str, list]) -> list:
+        # nodes of any trees are deduplicated and ordered as eval_steps does
+        items = self.eval(expr.left, scope) + self.eval(expr.right, scope)
         if items and all(isinstance(i, XmlNode) for i in items):
-            if len({id(i.root()) for i in items}) == 1:
-                unique = {id(i): i for i in items}
-                return sorted(unique.values(), key=lambda n: n.node_id)
+            return sorted(set(items), key=attrgetter("node_id"))
         return items
+
+    def _call(self, expr: FnCall, scope: dict[str, list]) -> list:
+        args = [self.eval(a, scope) for a in expr.args]
+        return call_builtin(self.env, expr.prefix, expr.name, args)
 
     def _path(self, expr: PathApply, scope: dict[str, list]) -> list:
         if expr.start is None:
@@ -185,54 +186,55 @@ class Interpreter:
                 contexts.append(value)
         return eval_steps(contexts, expr.steps)
 
-    def _construct_element(self, ctor: ElementCtor, scope: dict[str, list]) -> XmlNode:
-        attrs: list[tuple[xmltree.QName, str]] = []
-        for name, parts in ctor.attrs:
-            rendered = []
-            for part in parts:
-                if isinstance(part, str):
-                    rendered.append(part)
-                else:
-                    values = self.eval(part, scope)
-                    rendered.append(" ".join(item_string(v) for v in values))
-            attrs.append((name, "".join(rendered)))
+    def _construct_element(self, ctor: ElementCtor, scope: dict[str, list]) -> list:
+        attrs = [(name, "".join(
+                     part if isinstance(part, str)
+                     else " ".join(map(item_string, self.eval(part, scope)))
+                     for part in parts))
+                 for name, parts in ctor.attrs]
         # created before its content, so node_id keeps document order
         node = xmltree.element(ctor.name, attrs)
         for part in ctor.content:
             if isinstance(part, str):
                 node.append(xmltree.text(part))
                 continue
-            atoms: list[str] = []
-
-            def flush() -> None:
-                if atoms:
-                    node.append(xmltree.text(" ".join(atoms)))
-                    atoms.clear()
-
-            for value in self.eval(part, scope):
-                if isinstance(value, XmlNode):
-                    flush()
-                    if value.kind == "document":
-                        for child in value.children:
-                            node.append(clone(child))
-                    elif value.kind == "attribute":
+            # each run of adjacent atomic values becomes one text node
+            values = self.eval(part, scope)
+            for is_node, run in groupby(values, key=lambda v: isinstance(v, XmlNode)):
+                if not is_node:
+                    node.append(xmltree.text(" ".join(map(item_string, run))))
+                    continue
+                for value in run:
+                    if value.kind == "attribute":
                         raise EvalError("attribute node in element content")
-                    else:
-                        node.append(clone(value))
-                else:
-                    atoms.append(item_string(value))
-            flush()
-        return node
+                    for child in value.children if value.kind == "document" else [value]:
+                        node.append(clone(child))
+        return [node]
 
-    def _construct_document(self, ctor: DocumentCtor, scope: dict[str, list]) -> XmlNode:
+    def _construct_document(self, ctor: DocumentCtor, scope: dict[str, list]) -> list:
+        # created before its content, so node_id keeps document order
+        doc = XmlNode("document")
+        if type(ctor.content) is ElementCtor:
+            # a constructed element is fresh and referenced nowhere else: adopt it
+            doc.append(self._construct_element(ctor.content, scope)[0])
+            return [doc]
         values = self.eval(ctor.content, scope)
         elements = [v for v in values
                     if isinstance(v, XmlNode) and v.kind == "element"]
         if len(elements) != len(values) or len(elements) != 1:
             raise EvalError("a document constructor requires exactly one element")
-        doc = XmlNode("document")
         doc.append(clone(elements[0]))
-        return doc
+        return [doc]
+
+
+_EVAL = {
+    StringLit: Interpreter._literal, NumberLit: Interpreter._literal,
+    VarRef: Interpreter._var, SequenceExpr: Interpreter._sequence,
+    LetExpr: Interpreter._let, ForExpr: Interpreter._for, IfExpr: Interpreter._if,
+    Compare: Interpreter._compare, UnionExpr: Interpreter._union,
+    PathApply: Interpreter._path, FnCall: Interpreter._call,
+    ElementCtor: Interpreter._construct_element, DocumentCtor: Interpreter._construct_document,
+}
 
 
 def evaluate(program: Program, env: Environment | None = None) -> list:

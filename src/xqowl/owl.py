@@ -396,6 +396,8 @@ class _OntologyLoader:
         members = self.objects(iri, OWL_NS + "intersectionOf")
         if members:
             parts = tuple(self.class_expr(m) for m in self.read_list(members[0]))
+            if len(parts) < 2:
+                raise RdfParseError("owl:intersectionOf needs at least two members")
             return And(parts)
         on_property = self.objects(iri, OWL_NS + "onProperty")
         if on_property:

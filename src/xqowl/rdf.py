@@ -5,7 +5,9 @@ The term model has no blank nodes: every subject and predicate is an
 IRI. RDF/XML input that would create blank nodes is either rejected
 (rdf:nodeID) or given deterministic generated IRIs (anonymous nested
 node elements and collection list cells), which keeps graphs queryable
-by IRI while accepting the usual OWL markup.
+by IRI while accepting the usual OWL markup. Terms and triples are named
+tuples, so building, hashing and comparing them runs in C; an Iri never
+equals a Literal, since the two have different lengths.
 
 Graph lookups return their matches in no particular order. Callers whose
 order reaches the output sort it themselves, once, by `term_key`.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from urllib.parse import urljoin
 
 from .errors import RdfParseError, UnsupportedFeatureError
@@ -33,16 +36,14 @@ RDF_NIL = RDF_NS + "nil"
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
-@dataclass(frozen=True)
-class Iri:
+class Iri(NamedTuple):
     value: str
 
     def __repr__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     lexical: str
     datatype: str | None = None
     language: str | None = None
@@ -64,8 +65,7 @@ def term_key(term: Term) -> tuple:
     return (1, term.lexical, term.datatype or "", term.language or "")
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Term
@@ -134,11 +134,13 @@ class RdfGraph:
 
 # -- RDF/XML reading ------------------------------------------------------------
 
-_NODE_ATTRS_OK = {QName(RDF_NS, "about")}
-_PROP_ATTRS_OK = {QName(RDF_NS, "resource"), QName(RDF_NS, "datatype"),
-                  QName(RDF_NS, "parseType")}
+(_RDF_RDF, _RDF_DESCRIPTION, _RDF_ABOUT, _RDF_NODE_ID, _RDF_RESOURCE, _RDF_DATATYPE,
+ _RDF_PARSE_TYPE) = (QName(RDF_NS, local) for local in (
+    "RDF", "Description", "about", "nodeID", "resource", "datatype", "parseType"))
 _XML_LANG = QName(xmltree.XML_NS, "lang")
 _XML_BASE = QName(xmltree.XML_NS, "base")
+_NODE_ATTRS_OK = {_RDF_ABOUT, _XML_LANG, _XML_BASE}
+_PROP_ATTRS_OK = {_RDF_RESOURCE, _RDF_DATATYPE, _RDF_PARSE_TYPE, _XML_LANG, _XML_BASE}
 
 
 class _RdfReader:
@@ -161,9 +163,9 @@ class _RdfReader:
         for attr in el.attributes:
             name = attr.name
             assert name is not None
-            if name in allowed or name in (_XML_LANG, _XML_BASE):
+            if name in allowed:
                 continue
-            if name == QName(RDF_NS, "nodeID"):
+            if name == _RDF_NODE_ID:
                 raise UnsupportedFeatureError(
                     "rdf:nodeID is not supported: the term model excludes blank "
                     "nodes; name the node with rdf:about instead")
@@ -178,10 +180,10 @@ class _RdfReader:
     def node_element(self, el: XmlNode) -> Iri:
         assert el.name is not None
         self.check_attrs(el, _NODE_ATTRS_OK, "node")
-        about = xmltree.get_attribute(el, QName(RDF_NS, "about"))
+        about = xmltree.get_attribute(el, _RDF_ABOUT)
         subject = Iri(resolve_iri(self.base, about)) if about is not None \
             else self.fresh_iri()
-        if el.name != QName(RDF_NS, "Description"):
+        if el.name != _RDF_DESCRIPTION:
             self.triples.append(Triple(subject, Iri(RDF_TYPE), self.name_iri(el.name)))
         for child in el.children:
             if child.kind == "text":
@@ -195,9 +197,9 @@ class _RdfReader:
         assert el.name is not None
         self.check_attrs(el, _PROP_ATTRS_OK, "property")
         predicate = self.name_iri(el.name)
-        resource = xmltree.get_attribute(el, QName(RDF_NS, "resource"))
-        datatype = xmltree.get_attribute(el, QName(RDF_NS, "datatype"))
-        parse_type = xmltree.get_attribute(el, QName(RDF_NS, "parseType"))
+        resource = xmltree.get_attribute(el, _RDF_RESOURCE)
+        datatype = xmltree.get_attribute(el, _RDF_DATATYPE)
+        parse_type = xmltree.get_attribute(el, _RDF_PARSE_TYPE)
         language = xmltree.get_attribute(el, _XML_LANG)
         elements = child_elements(el)
 
@@ -247,7 +249,7 @@ class _RdfReader:
 def rdf_from_document(doc: XmlNode, base: str) -> RdfGraph:
     """Read the supported RDF/XML subset out of a parsed XML tree."""
     roots = child_elements(doc) if doc.kind == "document" else [doc]
-    if len(roots) != 1 or roots[0].name != QName(RDF_NS, "RDF"):
+    if len(roots) != 1 or roots[0].name != _RDF_RDF:
         raise RdfParseError("expected an rdf:RDF root element")
     root = roots[0]
     declared_base = xmltree.get_attribute(root, _XML_BASE)

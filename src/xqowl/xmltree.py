@@ -54,8 +54,9 @@ class QName:
 class XmlNode:
     """One node of an XML tree.
 
-    kind is one of "document", "element", "attribute", "text".
-    Identity (used for parent navigation and document-order dedup) is
+    kind is one of "document", "element", "attribute", "text". Text and
+    attribute nodes are leaves: they all share one empty tuple as their
+    children and attributes. Identity (used for document-order dedup) is
     per-node: node_id increases monotonically in creation order. That is
     document order for parsed trees, clones and trees from the host
     language's element and document constructors, which create a node
@@ -64,32 +65,24 @@ class XmlNode:
     Structural comparison is a separate operation (canonical_equal).
     """
 
-    __slots__ = ("kind", "name", "value", "attributes", "children", "parent", "node_id")
+    __slots__ = ("kind", "name", "value", "attributes", "children", "node_id")
 
     def __init__(self, kind: str, name: QName | None = None, value: str | None = None):
         self.kind = kind
         self.name = name
         self.value = value
-        self.attributes: list[XmlNode] = []
-        self.children: list[XmlNode] = []
-        self.parent: XmlNode | None = None
+        leaf = kind == "text" or kind == "attribute"
+        self.attributes: list[XmlNode] | tuple[()] = () if leaf else []
+        self.children: list[XmlNode] | tuple[()] = () if leaf else []
         self.node_id = next(_node_counter)
 
     # -- construction helpers -------------------------------------------------
 
     def append(self, child: XmlNode) -> None:
-        child.parent = self
-        self.children.append(child)
+        self.children.append(child)  # type: ignore[union-attr]
 
     def set_attribute(self, attr: XmlNode) -> None:
-        attr.parent = self
-        self.attributes.append(attr)
-
-    def root(self) -> XmlNode:
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
+        self.attributes.append(attr)  # type: ignore[union-attr]
 
     def __repr__(self) -> str:
         if self.kind == "element":
@@ -127,19 +120,11 @@ def document(root: XmlNode) -> XmlNode:
 
 def clone(node: XmlNode) -> XmlNode:
     """Deep copy with fresh node identities, children in document order."""
-    if node.kind == "element":
-        copy = XmlNode("element", name=node.name)
-        for attr in node.attributes:
-            copy.set_attribute(clone(attr))
-        for child in node.children:
-            copy.append(clone(child))
-        return copy
-    if node.kind == "document":
-        copy = XmlNode("document")
-        for child in node.children:
-            copy.append(clone(child))
-        return copy
-    return XmlNode(node.kind, name=node.name, value=node.value)
+    copy = XmlNode(node.kind, name=node.name, value=node.value)
+    if node.kind == "element" or node.kind == "document":
+        copy.attributes.extend(map(clone, node.attributes))  # type: ignore[union-attr]
+        copy.children.extend(map(clone, node.children))  # type: ignore[union-attr]
+    return copy
 
 
 def string_value(node: XmlNode) -> str:

@@ -87,6 +87,32 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    def test_invalid_sw_property_name_is_an_error_not_a_traceback(self, tmp_path,
+                                                                  capsys):
+        prog = tmp_path / "p.xq"
+        prog.write_text('sw:toObjectFiller("x", "a b", "y")')
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'a b'" in err
+
+    def test_one_member_intersection_is_an_error_not_a_traceback(self, tmp_path,
+                                                                 capsys):
+        owl = tmp_path / "one.owl"
+        owl.write_text(
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns:owl="http://www.w3.org/2002/07/owl#">'
+            '<owl:Class rdf:about="http://ex.org#A"><owl:equivalentClass><owl:Class>'
+            '<owl:intersectionOf rdf:parseType="Collection">'
+            '<owl:Class rdf:about="http://ex.org#B"/>'
+            '</owl:intersectionOf></owl:Class></owl:equivalentClass></owl:Class>'
+            '</rdf:RDF>')
+        code, out, err = run_cli(capsys, "reason", "--task", "consistent",
+                                 "--ontology", str(owl))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "intersectionOf" in err
+
     def test_out_of_memory_is_an_error_not_a_traceback(self, monkeypatch, capsys):
         def exhausted(args):
             raise MemoryError

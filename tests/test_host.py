@@ -5,8 +5,9 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, steps_of
 from xqowl.errors import EvalError, HostSyntaxError, SparqlSyntaxError
 from xqowl.functions import OntologyHandle, ReasonerHandle
 from xqowl.hostlang import (
@@ -22,6 +23,7 @@ from xqowl.xmltree import (
     QName, XmlNode, canonical_equal, canonical_key, child_elements, parse_xml,
     serialize_xml, string_value,
 )
+from xqowl.xpaths import eval_steps
 
 SN = "http://www.semanticweb.org/socialnetwork.owl#"
 PROGRAMS = ("example1.xq", "lowering.xq", "object_properties.xq",
@@ -319,6 +321,8 @@ class TestEvaluation:
         ("let $e := <r><a/></r> return ($e union $e/a)", ["r", "a"]),
         ("let $d := document{<r><a/></r>} return ($d/r union $d)",
          ["document", "r"]),
+        ("let $d := document{<a><b/></a>} return ($d/a/b union $d/a union $d)",
+         ["document", "a", "b"]),
     ])
     def test_union_of_constructed_tree_is_in_document_order(self, source, kinds):
         # a constructed node is created before its content
@@ -327,6 +331,32 @@ class TestEvaluation:
     def test_union_of_fresh_nodes_concatenates(self):
         result = run_text("<a/> union <a/>")
         assert len(result) == 2
+
+    def test_union_across_trees_dedups_in_creation_order(self):
+        result = run_text("let $a := <a/> let $b := <b/> return ($a union $b union $a)")
+        assert [n.name.local for n in result] == ["a", "b"]
+        result = run_text("let $a := <a/> let $b := <b/> return ($b union $a)")
+        assert [n.name.local for n in result] == ["a", "b"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_union_orders_nodes_of_several_trees_as_paths_do(self, data):
+        trees = [parse_xml("<r><a><b/></a><c/></r>"), parse_xml("<s><d/><e><f/></e></s>"),
+                 parse_xml("<t><g/></t>")]
+        pool = [n for tree in trees for n in _descendants(tree)]
+        left = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        right = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        interpreter = Interpreter(Environment())
+        scope = {"x": left, "y": right}
+        forward = interpreter.eval(parse_program("$x/* union $y/*").body, scope)
+        backward = interpreter.eval(parse_program("$y/* union $x/*").body, scope)
+        expected = eval_steps(left + right, steps_of("*"))
+        assert forward == backward == expected
+        assert len({id(n) for n in forward}) == len(forward)
+
+    def test_unknown_expression_is_an_eval_error(self):
+        with pytest.raises(EvalError, match="cannot evaluate Step"):
+            Interpreter(Environment()).eval(steps_of("a")[0], {})
 
     def test_union_of_atomics_concatenates(self):
         assert run_text("(1, 2) union 2") == [1, 2, 2]
@@ -347,14 +377,19 @@ class TestEvaluation:
         (wrapped,) = evaluate(parse_program("<y>{/r/b}</y>"), env)
         original = child_elements(child_elements(source)[0])[0]
         copy = child_elements(wrapped)[0]
-        assert copy is not original and copy.parent is wrapped
-        assert original.parent is child_elements(source)[0]
+        assert copy is not original and wrapped.children == [copy]
+        assert child_elements(source)[0].children == [original]
         assert canonical_equal(copy, original)
+        doc, element = run_text("let $e := <a/> return (document{$e}, $e)")
+        assert doc.children[0] is not element
+        assert canonical_equal(doc.children[0], element)
 
     def test_document_content_splices_children(self):
-        (wrapped,) = run_text("<w>{document{ <r><a/></r> }}</w>")
+        wrapped, doc = run_text(
+            "let $d := document{ <r><a/></r> } return (<w>{$d}</w>, $d)")
         assert [c.name.local for c in child_elements(wrapped)] == ["r"]
-        assert child_elements(wrapped)[0].parent is wrapped
+        assert wrapped.children[0] is not doc.children[0]
+        assert [c.name.local for c in child_elements(doc)] == ["r"]
 
     def test_attribute_node_in_content_rejected(self):
         with pytest.raises(EvalError):
@@ -363,6 +398,8 @@ class TestEvaluation:
     def test_document_constructor_requires_one_element(self):
         (doc,) = run_text("document{ <a/> }")
         assert doc.kind == "document"
+        (doc,) = run_text("document{ <a><b/></a> }")
+        assert canonical_equal(doc, parse_xml("<a><b/></a>"))
         with pytest.raises(EvalError):
             run_text("document{ (<a/>, <b/>) }")
         with pytest.raises(EvalError):

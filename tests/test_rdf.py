@@ -42,6 +42,12 @@ def test_term_ordering_is_total_and_deterministic():
     ordered = sorted(terms, key=term_key)
     assert ordered == [Iri("a"), Iri("z"), Literal("a"), Literal("a", language="en"),
                        Literal("a", datatype="dt"), Literal("b")]
+    assert [repr(t) for t in ordered] == [
+        "<a>", "<z>", "'a'", "'a'@en", "'a'^^dt", "'b'"]
+    assert repr(Triple(Iri("s"), Iri("p"), Literal("o"))) == \
+        "Triple(subject=<s>, predicate=<p>, object='o')"
+    assert Iri("x") != Literal("x")
+    assert len(set(terms + [Iri("a"), Literal("a", language="en")])) == len(terms)
 
 
 @pytest.mark.parametrize("base,ref,expected", [

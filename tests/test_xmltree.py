@@ -207,6 +207,15 @@ def test_clone_is_structurally_equal_with_fresh_identity():
     assert canonical_equal(doc, copy)
     assert copy.children[0] is not doc.children[0]
     assert copy.children[0].node_id != doc.children[0].node_id
+    a = doc.children[0]
+    leaves = [a.attributes[0], a.children[0].children[0],
+              text("t & u"), attribute(QName(None, "n"), "v & w")]
+    for leaf in leaves + [clone(leaf) for leaf in leaves]:
+        assert leaf.children == () and leaf.attributes == ()
+    assert [(c.kind, c.name, c.value) for c in map(clone, leaves)] == \
+        [(n.kind, n.name, n.value) for n in leaves]
+    assert [string_value(n) for n in leaves] == ["1", "t", "t & u", "v & w"]
+    assert serialize_xml(leaves[2]) == serialize_xml(clone(leaves[2])) == "t &amp; u"
 
 
 def _random_tree(rng: random.Random, depth: int = 0):

@@ -7,7 +7,7 @@ import pytest
 from conftest import steps_of
 from xqowl.errors import HostSyntaxError
 from xqowl.hostlang import PathApply, VarRef, parse_program
-from xqowl.xmltree import QName, parse_xml
+from xqowl.xmltree import QName, child_elements, parse_xml
 from xqowl.xpaths import AttrEquals, HasChild, Step, eval_steps
 
 SPQL = "http://www.w3.org/2005/sparql-results#"
@@ -107,9 +107,11 @@ def test_unprefixed_names_match_no_namespace_only():
 
 
 def test_absolute_path_starts_at_tree_root(conference):
-    deep = eval_steps([conference], steps_of("conference/papers/paper"))[0]
-    assert deep.root() is conference
-    assert len(eval_steps([deep.root()], steps_of("conference/papers/paper"))) == 3
+    deep = eval_steps([conference], steps_of("conference/papers/paper"))
+    (papers,) = eval_steps([conference], steps_of("conference/papers"))
+    assert deep == child_elements(papers)  # the same node objects, not copies
+    assert len(deep) == 3
+    assert eval_steps(deep, steps_of("conference/papers/paper")) == []
 
 
 def test_results_document_text_extraction():
