@@ -31,11 +31,11 @@ from .xmltree import (
     canonical_equal,
     canonical_key,
     clone,
-    document,
     element,
     parse_xml,
     serialize_xml,
     string_value,
+    sub_element,
     text,
 )
 from .xpaths import Step, eval_steps

@@ -298,11 +298,19 @@ def _xq_class_axioms(env, ont: list, cls: list) -> list:
 
 # -- sw: XML-to-ABox fragment builders --------------------------------------------
 
-def _sw_strings(args: list[list], what: str) -> list[str] | None:
-    """Render every argument as a string; None if any is empty."""
-    if any(not seq for seq in args):
-        return None
-    return [string_arg(seq, what) for seq in args]
+def _sw_builder(local: str, arity: int):
+    """Register an sw: builder that takes its arguments as strings; an
+    empty argument makes the result empty."""
+    what = f"sw:{local}"
+
+    def wrap(build: Callable[..., list]) -> Callable[..., list]:
+        def builtin(env, *args: list) -> list:
+            if any(not seq for seq in args):
+                return []
+            return build(*(string_arg(seq, what) for seq in args))
+        _register("sw", local, arity, arity)(builtin)
+        return build
+    return wrap
 
 
 @_register("sw", "ID", 1, 1)
@@ -318,43 +326,31 @@ def _property_name(local: str, what: str) -> QName:
         raise EvalError(f"{what}: {exc}") from None
 
 
-def _named_individual(about: str, child: XmlNode) -> XmlNode:
-    return xmltree.element(
-        QName(OWL_NS, "NamedIndividual", prefix="owl"),
-        [(QName(RDF_NS, "about", prefix="rdf"), about)],
-        [child])
+_NAMED_INDIVIDUAL = QName(OWL_NS, "NamedIndividual", prefix="owl")
+_RDF_ABOUT, _RDF_TYPE, _RDF_RESOURCE, _RDF_DATATYPE = (
+    QName(RDF_NS, local, prefix="rdf") for local in ("about", "type", "resource", "datatype"))
 
 
-@_register("sw", "toClassFiller", 2, 2)
-def _sw_class_filler(env, *args: list) -> list:
-    values = _sw_strings(list(args), "sw:toClassFiller")
-    if values is None:
-        return []
-    ind, cls = values
-    typing = xmltree.element(QName(RDF_NS, "type", prefix="rdf"),
-                             [(QName(RDF_NS, "resource", prefix="rdf"), cls)])
-    return [_named_individual(ind, typing)]
+def _named_individual(about: str, prop: QName, attr: tuple[QName, str],
+                      value: str | None = None) -> list:
+    """An owl:NamedIndividual holding one property element."""
+    individual = xmltree.element(_NAMED_INDIVIDUAL, [(_RDF_ABOUT, about)])
+    xmltree.sub_element(individual, prop, [attr], value)
+    return [individual]
 
 
-@_register("sw", "toDataFiller", 4, 4)
-def _sw_data_filler(env, *args: list) -> list:
-    values = _sw_strings(list(args), "sw:toDataFiller")
-    if values is None:
-        return []
-    ind, prop, value, datatype = values
-    holder = xmltree.element(
-        _property_name(prop, "sw:toDataFiller"),
-        [(QName(RDF_NS, "datatype", prefix="rdf"), XSD_NS + datatype)],
-        [xmltree.text(value.strip())])
-    return [_named_individual(ind, holder)]
+@_sw_builder("toClassFiller", 2)
+def _sw_class_filler(ind: str, cls: str) -> list:
+    return _named_individual(ind, _RDF_TYPE, (_RDF_RESOURCE, cls))
 
 
-@_register("sw", "toObjectFiller", 3, 3)
-def _sw_object_filler(env, *args: list) -> list:
-    values = _sw_strings(list(args), "sw:toObjectFiller")
-    if values is None:
-        return []
-    ind, prop, target = values
-    holder = xmltree.element(_property_name(prop, "sw:toObjectFiller"),
-                             [(QName(RDF_NS, "resource", prefix="rdf"), target)])
-    return [_named_individual(ind, holder)]
+@_sw_builder("toDataFiller", 4)
+def _sw_data_filler(ind: str, prop: str, value: str, datatype: str) -> list:
+    return _named_individual(ind, _property_name(prop, "sw:toDataFiller"),
+                             (_RDF_DATATYPE, XSD_NS + datatype), value.strip())
+
+
+@_sw_builder("toObjectFiller", 3)
+def _sw_object_filler(ind: str, prop: str, target: str) -> list:
+    return _named_individual(ind, _property_name(prop, "sw:toObjectFiller"),
+                             (_RDF_RESOURCE, target))

@@ -162,7 +162,8 @@ class Interpreter:
         return [any(a != b for a in left for b in right)]
 
     def _union(self, expr: UnionExpr, scope: dict[str, list]) -> list:
-        # nodes of any trees are deduplicated and ordered as eval_steps does
+        # nodes of any trees are deduplicated and put in node_id order, as
+        # eval_steps does: document order within each tree (see xmltree)
         items = self.eval(expr.left, scope) + self.eval(expr.right, scope)
         if items and all(isinstance(i, XmlNode) for i in items):
             return sorted(set(items), key=attrgetter("node_id"))
@@ -192,7 +193,6 @@ class Interpreter:
                      else " ".join(map(item_string, self.eval(part, scope)))
                      for part in parts))
                  for name, parts in ctor.attrs]
-        # created before its content, so node_id keeps document order
         node = xmltree.element(ctor.name, attrs)
         for part in ctor.content:
             if isinstance(part, str):
@@ -212,7 +212,6 @@ class Interpreter:
         return [node]
 
     def _construct_document(self, ctor: DocumentCtor, scope: dict[str, list]) -> list:
-        # created before its content, so node_id keeps document order
         doc = XmlNode("document")
         if type(ctor.content) is ElementCtor:
             # a constructed element is fresh and referenced nowhere else: adopt it

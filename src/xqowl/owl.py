@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import RdfParseError, UnsupportedFeatureError
 from .rdf import RDF_NS, RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL, XSD_NS, \
     Iri, Literal, Term, RdfGraph, term_key
-from .xmltree import QName, XmlNode, canonical_key, document, element, text
+from .xmltree import QName, XmlNode, canonical_key, clone, element, sub_element, text
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -623,18 +623,12 @@ class _Renderer:
             return element(_owl("Restriction"),
                            children=[self.on_property(expr.role), true])
         if isinstance(expr, MaxCard):
-            bound = str(expr.n)
-            if isinstance(expr.filler, Thing):
-                constraint = [element(_owl("maxCardinality"),
-                                      [(_rdf("datatype"),
-                                        XSD_NS + "nonNegativeInteger")],
-                                      [text(bound)])]
-            else:
-                constraint = [element(_owl("maxQualifiedCardinality"),
-                                      [(_rdf("datatype"),
-                                        XSD_NS + "nonNegativeInteger")],
-                                      [text(bound)]),
-                              self.class_ref(_owl("onClass"), expr.filler)]
+            qualified = not isinstance(expr.filler, Thing)
+            constraint = [element(
+                _owl("maxQualifiedCardinality" if qualified else "maxCardinality"),
+                [(_rdf("datatype"), XSD_NS + "nonNegativeInteger")], [text(str(expr.n))])]
+            if qualified:
+                constraint.append(self.class_ref(_owl("onClass"), expr.filler))
             return element(_owl("Restriction"),
                            children=[self.on_property(expr.role)] + constraint)
         raise _Unrenderable  # Forall has no rendering in the subset
@@ -734,15 +728,14 @@ class _Renderer:
                            [text(assertion.value.lexical)])
             self.child("individual", assertion.subject, 2, node)
 
-    def entity_elements(self, kind: str, tag: QName, declared: set[str]) -> list[XmlNode]:
-        iris = sorted(set(self.children[kind]) | self.mentioned[kind] | declared)
-        out = []
-        for iri in iris:
-            parts = sorted(self.children[kind].get(iri, []),
-                           key=lambda item: (item[0], item[1]))
-            out.append(element(tag, [(_rdf("about"), iri)],
-                               [node for _, _, node in parts]))
-        return out
+    def entity_elements(self, root: XmlNode, kind: str, tag: QName,
+                        declared: frozenset[str]) -> None:
+        # every entity with a child is also mentioned
+        for iri in sorted(self.mentioned[kind] | declared):
+            entity = sub_element(root, tag, [(_rdf("about"), iri)])
+            for _, _, node in sorted(self.children[kind].get(iri, []),
+                                     key=lambda item: (item[0], item[1])):
+                entity.append(clone(node))
 
 
 def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
@@ -768,19 +761,17 @@ def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
             renderer.add_assertion(assertion)
         except _Unrenderable:
             pass
-    children: list[XmlNode] = []
+    doc = XmlNode("document")
+    root = sub_element(doc, _rdf("RDF"))
     if subject is None and ont.iri:
-        children.append(element(_owl("Ontology"), [(_rdf("about"), ont.iri)]))
-    declared = (set(ont.classes), set(ont.object_properties),
-                set(ont.data_properties), set(ont.individuals)) \
-        if subject is None else (set(), set(), set(), set())
-    children += renderer.entity_elements("class", _owl("Class"), declared[0])
-    children += renderer.entity_elements("object", _owl("ObjectProperty"), declared[1])
-    children += renderer.entity_elements("data", _owl("DatatypeProperty"), declared[2])
-    children += renderer.entity_elements("individual", _owl("NamedIndividual"),
-                                         declared[3])
-    root = element(QName(RDF_NS, "RDF", "rdf"), children=children)
-    return document(root)
+        sub_element(root, _owl("Ontology"), [(_rdf("about"), ont.iri)])
+    declared = (ont.classes, ont.object_properties, ont.data_properties,
+                ont.individuals) if subject is None else (frozenset(),) * 4
+    for kind, tag, names in zip(("class", "object", "data", "individual"),
+                                ("Class", "ObjectProperty", "DatatypeProperty",
+                                 "NamedIndividual"), declared):
+        renderer.entity_elements(root, kind, _owl(tag), names)
+    return doc
 
 
 def axiom_subjects(axiom: Axiom) -> tuple[str, ...]:
@@ -821,4 +812,9 @@ def _assertion_key(assertion: Assertion) -> tuple:
 
 def entities_to_xml(iris: list[str], item: QName) -> list[XmlNode]:
     """One item element per IRI, whose text is the full IRI."""
-    return [element(item, children=[text(iri)]) for iri in iris]
+    items = []
+    for iri in iris:
+        node = element(item)
+        node.append(text(iri))
+        items.append(node)
+    return items

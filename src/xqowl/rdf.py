@@ -22,7 +22,7 @@ from urllib.parse import urljoin
 
 from .errors import RdfParseError, UnsupportedFeatureError
 from . import xmltree
-from .xmltree import QName, XmlNode, child_elements, parse_xml
+from .xmltree import QName, XmlNode, child_elements, parse_xml, sub_element
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -278,34 +278,34 @@ class SolutionTable:
     rows: list[dict[str, Term]] = field(default_factory=list)
 
 
+(_SPARQL, _HEAD, _VARIABLE, _RESULTS, _RESULT, _BINDING, _URI, _LITERAL) = (
+    QName(SPARQL_RESULTS_NS, local) for local in (
+        "sparql", "head", "variable", "results", "result", "binding", "uri", "literal"))
+_NAME, _DATATYPE = QName(None, "name"), QName(None, "datatype")
+
+
 def write_sparql_results(table: SolutionTable) -> XmlNode:
     """Render a solution table as a SPARQL-results XML document."""
-
-    def el(local: str, attrs: list[tuple[QName, str]] | None = None,
-           children: list[XmlNode] | None = None) -> XmlNode:
-        return xmltree.element(QName(SPARQL_RESULTS_NS, local), attrs, children)
-
-    head = el("head", children=[
-        el("variable", attrs=[(QName(None, "name"), v)]) for v in table.variables])
-    results = []
+    doc = XmlNode("document")
+    root = sub_element(doc, _SPARQL)
+    head = sub_element(root, _HEAD)
+    for var in table.variables:
+        sub_element(head, _VARIABLE, [(_NAME, var)])
+    results = sub_element(root, _RESULTS)
     for row in table.rows:
-        bindings = []
+        result = sub_element(results, _RESULT)
         for var in table.variables:
             if var not in row:
                 continue
             term = row[var]
+            binding = sub_element(result, _BINDING, [(_NAME, var)])
             if isinstance(term, Iri):
-                value = el("uri", children=[xmltree.text(term.value)])
-            else:
-                attrs: list[tuple[QName, str]] = []
-                if term.datatype is not None:
-                    attrs.append((QName(None, "datatype"), term.datatype))
-                if term.language is not None:
-                    attrs.append((_XML_LANG, term.language))
-                value = el("literal", attrs=attrs,
-                           children=[xmltree.text(term.lexical)])
-            bindings.append(el("binding", attrs=[(QName(None, "name"), var)],
-                               children=[value]))
-        results.append(el("result", children=bindings))
-    root = el("sparql", children=[head, el("results", children=results)])
-    return xmltree.document(root)
+                sub_element(binding, _URI, value=term.value)
+                continue
+            attrs: list[tuple[QName, str]] = []
+            if term.datatype is not None:
+                attrs.append((_DATATYPE, term.datatype))
+            if term.language is not None:
+                attrs.append((_XML_LANG, term.language))
+            sub_element(binding, _LITERAL, attrs, term.lexical)
+    return doc

@@ -311,12 +311,12 @@ def _bind(row: dict[str, Term], pattern: TriplePattern, triple) -> dict[str, Ter
 
 
 def eval_select(graph: RdfGraph, query: SparqlQuery) -> SolutionTable:
-    """Full SELECT evaluation: join, project, deduplicate, order."""
+    """Full SELECT evaluation: join, order, project, deduplicate. As in
+    SPARQL, ORDER BY may name a variable that is not selected; ties go by
+    the projected terms, and each projected row keeps its first place."""
     table = eval_bgp(graph, query.patterns)
     projected = list(query.select) if query.select is not None else table.variables
-    rows = [{v: row[v] for v in projected if v in row} for row in table.rows]
-    unique = {tuple(sorted(r.items())): r for r in rows}
-    ordered = sorted(unique.values(),
+    ordered = sorted(table.rows,
                      key=lambda r: tuple(term_key(r[v]) for v in projected if v in r))
     for var, direction in reversed(query.order_by):
         unbound = [r for r in ordered if var not in r]
@@ -324,4 +324,6 @@ def eval_select(graph: RdfGraph, query: SparqlQuery) -> SolutionTable:
                        key=lambda r: term_key(r[var]),
                        reverse=direction == "desc")
         ordered = unbound + bound
-    return SolutionTable(variables=projected, rows=ordered)
+    unique = dict.fromkeys(tuple(r.get(v) for v in projected) for r in ordered)
+    rows = [{v: t for v, t in zip(projected, key) if t is not None} for key in unique]
+    return SolutionTable(variables=projected, rows=rows)

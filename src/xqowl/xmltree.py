@@ -4,6 +4,9 @@ The model is deliberately small: document, element, attribute and text
 nodes only. Namespace prefixes are resolved to namespace IRIs at parse
 time; the prefix itself is kept on the QName purely as a serialization
 hint and never takes part in equality.
+
+Every tree is built parent first (by the parser, clone, or sub_element,
+ElementTree's SubElement idiom), so node_id order is document order.
 """
 
 from __future__ import annotations
@@ -57,12 +60,10 @@ class XmlNode:
     kind is one of "document", "element", "attribute", "text". Text and
     attribute nodes are leaves: they all share one empty tuple as their
     children and attributes. Identity (used for document-order dedup) is
-    per-node: node_id increases monotonically in creation order. That is
-    document order for parsed trees, clones and trees from the host
-    language's element and document constructors, which create a node
-    before its content. Trees built bottom-up (the sw: builders,
-    write_sparql_results, axioms_to_xml) number children before parents.
-    Structural comparison is a separate operation (canonical_equal).
+    per-node: node_id increases monotonically in creation order, and
+    every tree the package builds creates a parent before its content,
+    so node_id is document order. Structural comparison is a separate
+    operation (canonical_equal).
     """
 
     __slots__ = ("kind", "name", "value", "attributes", "children", "node_id")
@@ -78,8 +79,9 @@ class XmlNode:
 
     # -- construction helpers -------------------------------------------------
 
-    def append(self, child: XmlNode) -> None:
+    def append(self, child: XmlNode) -> XmlNode:
         self.children.append(child)  # type: ignore[union-attr]
+        return child
 
     def set_attribute(self, attr: XmlNode) -> None:
         self.attributes.append(attr)  # type: ignore[union-attr]
@@ -112,10 +114,13 @@ def text(value: str) -> XmlNode:
     return XmlNode("text", value=value)
 
 
-def document(root: XmlNode) -> XmlNode:
-    doc = XmlNode("document")
-    doc.append(root)
-    return doc
+def sub_element(parent: XmlNode, name: QName, attrs: list[tuple[QName, str]] | None = None,
+                value: str | None = None) -> XmlNode:
+    """A new last child element of parent, then its text value if any."""
+    node = parent.append(element(name, attrs))
+    if value is not None:
+        node.append(text(value))
+    return node
 
 
 def clone(node: XmlNode) -> XmlNode:

@@ -66,8 +66,8 @@ def _eval_step(node: XmlNode, step: Step) -> list[XmlNode]:
 
 def eval_steps(contexts: list[XmlNode], steps: tuple[Step, ...]) -> list[XmlNode]:
     """Apply steps to each context in turn, deduplicating by node
-    identity and keeping document order (nodes of one tree are created
-    in document order, so node_id is the sort key)."""
+    identity and keeping document order: every tree is built parent
+    first (see xmltree), so node_id is the sort key."""
     current = list(contexts)
     for step in steps:
         seen: set[int] = set()

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from xqowl.hostlang import parse_program
+from xqowl.xmltree import XmlNode
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = SRC / "xqowl" / "fixtures"
@@ -37,3 +38,21 @@ def steps_of(path: str, **namespaces: str) -> tuple:
     declared as a namespace prefix."""
     prolog = "".join(f'declare namespace {p} = "{iri}"; ' for p, iri in namespaces.items())
     return parse_program(prolog + "/" + path).body.steps
+
+
+def preorder_ids(node: XmlNode) -> list[int]:
+    """node_ids along a pre-order walk: each node, then its attributes,
+    then its children."""
+    ids, stack = [], [node]
+    while stack:
+        current = stack.pop()
+        ids.append(current.node_id)
+        ids.extend(attr.node_id for attr in current.attributes)
+        stack.extend(reversed(current.children))
+    return ids
+
+
+def assert_document_order(node: XmlNode) -> None:
+    """node_id must strictly increase in document order."""
+    ids = preorder_ids(node)
+    assert ids == sorted(set(ids)), f"node_ids out of document order: {ids}"

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import shutil
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import FIXTURES, fixture_text
 from conftest import run_cli as run_process
 from xqowl import cli
 from xqowl.cli import main
-from xqowl.owl import load_ontology
-from xqowl.rdf import parse_rdfxml
+from xqowl.owl import OWL_NS, axioms_to_xml, load_ontology
+from xqowl.rdf import RDF_NS, parse_rdfxml
 from xqowl.reasoner import Reasoner
-from xqowl.xmltree import child_elements, parse_xml
+from xqowl.xmltree import QName, child_elements, get_attribute, parse_xml, serialize_xml
 
 SN = "http://www.semanticweb.org/socialnetwork.owl#"
 PAPERS = "http://www.semanticweb.org/ontology_papers.owl#"
@@ -415,6 +420,117 @@ class TestCheck:
         assert source.classes <= merged.classes
         assert source.tbox <= merged.tbox
         assert merged.individuals > source.individuals
+
+
+# A path into xqowl:axioms output: its steps return nodes in node_id order,
+# which must be the order of the rendered document whatever the hash seed.
+AXIOM_PATH_PROBE = """
+declare namespace rdf = "http://www.w3.org/1999/02/22-rdf-syntax-ns#";
+declare namespace owl = "http://www.w3.org/2002/07/owl#";
+let $d := doc(xqowl:axioms(xqowl:load("socialnetwork.owl")))
+return <r>{for $c in $d/rdf:RDF/owl:ObjectProperty/* return <s r="{$c/@rdf:resource}"/>}</r>
+"""
+
+
+class TestRenderedAxiomOrder:
+    @pytest.fixture
+    def probe(self, tmp_path):
+        shutil.copy(FIXTURES / "socialnetwork.owl", tmp_path)
+        program = tmp_path / "probe.xq"
+        program.write_text(AXIOM_PATH_PROBE)
+        return str(program)
+
+    def test_path_into_rendered_axioms_follows_the_document(self, probe, capsys):
+        code, out, _ = run_cli(capsys, "run", probe)
+        assert code == 0
+        got = [get_attribute(s, QName(None, "r"))
+               for s in child_elements(child_elements(parse_xml(out))[0])]
+        ont = load_ontology(parse_rdfxml(fixture_text("socialnetwork.owl")))
+        rendered = child_elements(parse_xml(serialize_xml(axioms_to_xml(ont))))[0]
+        expected = [get_attribute(child, QName(RDF_NS, "resource")) or ""
+                    for entity in child_elements(rendered)
+                    if entity.name == QName(OWL_NS, "ObjectProperty")
+                    for child in child_elements(entity)]
+        assert len(expected) > 10
+        assert got == expected
+
+    def test_path_into_rendered_axioms_does_not_depend_on_the_hash_seed(self, probe):
+        runs = [run_process(["-m", "xqowl.cli", "run", probe], hashseed=seed)
+                for seed in range(4)]
+        assert [proc.returncode for proc in runs] == [0, 0, 0, 0]
+        assert len({proc.stdout for proc in runs}) == 1
+
+
+# -- robustness: mutated inputs end in an exit status, never a traceback ---------------
+
+MUTATION_TOKENS = (
+    "(", ")", "{", "}", "<", ">", "</", "/>", "/", "$x", ",", "'", '"', ":=", "=",
+    "union", "for $x in", "let", "return", "if", "doc(", "<a>", "</a>", "&", "&amp;",
+    "#", ";", "@", "*", "[", "]", "xqowl:", "sw:ID(", "rdf:", " ", "\n", "<!--",
+    '<owl:Class rdf:about="#x">', "</owl:Class>", 'rdf:resource="#y"',
+    'rdf:parseType="Collection"', "<owl:Restriction>", "<owl:onProperty/>",
+)
+
+
+@st.composite
+def mutants(draw, names: tuple[str, ...]) -> str:
+    """A fixture file after one to three span deletions, token insertions
+    or span duplications."""
+    text = fixture_text(draw(st.sampled_from(names)))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 60)))
+        kind = draw(st.sampled_from(("delete", "insert", "duplicate")))
+        if kind == "delete":
+            text = text[:start] + text[end:]
+        elif kind == "insert":
+            text = text[:start] + draw(st.sampled_from(MUTATION_TOKENS)) + text[start:]
+        else:
+            text = text[:end] + text[start:end] + text[end:]
+    return text
+
+
+PROGRAMS = tuple(sorted(p.name for p in FIXTURES.glob("*.xq")))
+ONTOLOGIES = ("socialnetwork.owl", "ontology_papers.owl")
+MUTATION_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A copy of the fixtures, so that mutants find the files they name and
+    everything they write stays under a temporary directory."""
+    return shutil.copytree(FIXTURES, tmp_path_factory.mktemp("mutants") / "fixtures")
+
+
+def exit_status(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestMutatedInputs:
+    @MUTATION_SETTINGS
+    @given(source=mutants(PROGRAMS))
+    def test_run(self, workdir, source):
+        (workdir / "mutant.xq").write_text(source)
+        assert exit_status(["run", str(workdir / "mutant.xq"),
+                            "--data", str(workdir / "conference.xml")]) in (0, 1, 2)
+
+    @MUTATION_SETTINGS
+    @given(source=mutants(("mapping.xq",)))
+    def test_check(self, workdir, source):
+        (workdir / "mutant.xq").write_text(source)
+        assert exit_status(["check", str(workdir / "mutant.xq"),
+                            "--data", str(workdir / "conference.xml"),
+                            "--output", str(workdir / "mutant.owl")]) in (0, 1, 2)
+
+    @MUTATION_SETTINGS
+    @given(source=mutants(ONTOLOGIES))
+    def test_reason(self, workdir, source):
+        (workdir / "mutant.owl").write_text(source)
+        assert exit_status(["reason", "--task", "consistent",
+                            "--ontology", str(workdir / "mutant.owl")]) in (0, 1, 2)
 
 
 def _descendants(node):

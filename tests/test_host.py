@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, fixture_text, steps_of
+from conftest import FIXTURES, assert_document_order, fixture_text, steps_of
 from xqowl.errors import EvalError, HostSyntaxError, SparqlSyntaxError
 from xqowl.functions import OntologyHandle, ReasonerHandle
 from xqowl.hostlang import (
@@ -615,6 +615,15 @@ class TestSwBuilders:
         assert run_text("sw:toClassFiller((), '#Paper')") == []
         assert run_text("sw:toDataFiller('#1', 'name', (), 'string')") == []
         assert run_text("sw:toObjectFiller('#a', 'referee', sw:ID(()))") == []
+
+    @pytest.mark.parametrize("call", [
+        "sw:toClassFiller('#1', '#Paper')",
+        "sw:toDataFiller('#1', 'wordCount', ' 1200 ', 'integer')",
+        "sw:toObjectFiller('#a', 'manuscript', '#1')",
+    ])
+    def test_fillers_are_numbered_in_document_order(self, call):
+        (el,) = run_text(call)
+        assert_document_order(el)
 
     def test_filler_markup_shape(self):
         (el,) = run_text("sw:toClassFiller('#1', '#Paper')")

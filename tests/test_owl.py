@@ -1,6 +1,11 @@
 """Ontology loading from RDF graphs and XML rendering of axioms/entities."""
 
+import random
+
 import pytest
+
+from conftest import assert_document_order
+from test_reasoner import random_ontology
 
 from xqowl.errors import RdfParseError, UnsupportedFeatureError
 from xqowl.owl import (
@@ -451,3 +456,31 @@ class TestEntityRendering:
         iris = [f"urn:i{k}" for k in (3, 1, 2)]
         nodes = entities_to_xml(iris, QName(None, "x"))
         assert [string_value(n) for n in nodes] == iris
+
+
+class TestRenderedDocumentOrder:
+    @pytest.mark.parametrize("name", ["socialnetwork.owl", "ontology_papers.owl"])
+    def test_fixture_ontologies_whole_and_by_class(self, fixtures_dir, name):
+        ont = load_ontology(parse_rdfxml((fixtures_dir / name).read_text()))
+        assert_document_order(axioms_to_xml(ont))
+        for cls in sorted(ont.named_classes()):
+            assert_document_order(axioms_to_xml(ont, subject=cls))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_ontologies(self, seed):
+        assert_document_order(axioms_to_xml(random_ontology(random.Random(seed))))
+
+    def test_cardinality_and_self_restrictions(self):
+        a, b, p = f"{PAPERS}#A", f"{PAPERS}#B", f"{PAPERS}#p"
+        ont = Ontology(iri=PAPERS, abox=frozenset(), tbox=frozenset({
+            SubClassOf(Named(a), MaxCard(2, Role(p), Thing())),
+            SubClassOf(Named(a), MaxCard(0, Role(p), Named(b))),
+            SubClassOf(Named(b), ExistsSelf(Role(p))),
+        }))
+        doc = axioms_to_xml(ont)
+        assert_document_order(doc)
+        assert load_ontology(parse_rdfxml(serialize_xml(doc))).tbox == ont.tbox
+
+    def test_entities(self):
+        for node in entities_to_xml([sn("message1"), sn("event1")], QName(None, "instance")):
+            assert_document_order(node)

@@ -12,9 +12,11 @@ import random
 
 import pytest
 
-from conftest import fixture_text
+from conftest import FIXTURES, assert_document_order, fixture_text
+from xqowl.cli import main
 from xqowl.errors import SparqlSyntaxError, UnsupportedFeatureError
-from xqowl.rdf import Iri, Literal, RdfGraph, Triple, parse_rdfxml
+from xqowl.rdf import (Iri, Literal, RdfGraph, SolutionTable, Triple, parse_rdfxml,
+                       term_key, write_sparql_results)
 from xqowl.sparql import (
     FragmentRef,
     SparqlQuery,
@@ -27,6 +29,7 @@ from xqowl.sparql import (
 
 FOAF = "http://xmlns.com/foaf/0.1/"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 
 
 def rel(frag: str) -> Iri:
@@ -144,6 +147,23 @@ def test_order_by_desc(relations):
                      "WHERE { ?P foaf:name ?Name } ORDER BY DESC(?Name)")
     assert [r["Name"].lexical for r in eval_select(relations, q).rows] == [
         "Charles", "Bob", "Alice"]
+
+
+def test_order_by_a_variable_that_is_not_selected(relations):
+    # SPARQL orders the solutions before it projects them
+    q = parse_sparql("PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?Person "
+                     "WHERE { ?Person foaf:name ?Name } ORDER BY DESC(?Name)")
+    assert eval_select(relations, q).rows == [
+        {"Person": rel("b6")}, {"Person": rel("b4")}, {"Person": rel("b1")}]
+
+
+def test_query_command_orders_by_a_variable_that_is_not_selected(capsys):
+    query = ("PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?Person "
+             "WHERE { ?Person foaf:name ?Name } ORDER BY DESC(?Name)")
+    assert main(["query", query, "--data", str(FIXTURES / "relations.rdf")]) == 0
+    out = capsys.readouterr().out
+    assert [line.strip() for line in out.splitlines() if "<uri>" in line] == [
+        f"<uri>http://relations.org#{b}</uri>" for b in ("b6", "b4", "b1")]
 
 
 def test_projection_deduplicates(relations):
@@ -275,3 +295,41 @@ def test_bgp_join_matches_brute_force_oracle(seed):
         rows = [tuple(sorted(r.items())) for r in eval_bgp(graph, order).rows]
         assert len(set(rows)) == len(rows)
         assert set(rows) == expected
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_order_by_an_unselected_variable_keeps_each_row_at_its_first_solution(seed):
+    rng = random.Random(seed)
+    graph, _ = _random_instance(rng)
+    patterns = (TriplePattern(Variable("u"), Variable("p"), Variable("v")),)
+    names = ["u", "p", "v"]
+    rng.shuffle(names)
+    cut = rng.randrange(1, 3)
+    selected, key, desc = names[:cut], names[cut], rng.random() < 0.5
+    query = SparqlQuery(tuple(selected), patterns, ((key, "desc" if desc else "asc"),))
+    rows = [tuple(r.items()) for r in eval_select(graph, query).rows]
+    solutions = eval_bgp(graph, patterns).rows
+    # each distinct projection sits where its first solution in ORDER BY order does
+    first: dict[tuple, tuple] = {}
+    for solution in solutions:
+        row = tuple((v, solution[v]) for v in selected)
+        rank = term_key(solution[key])
+        known = first.setdefault(row, rank)
+        first[row] = max(rank, known) if desc else min(rank, known)
+    assert len(set(rows)) == len(rows) and set(rows) == set(first)
+    ranks = [first[row] for row in rows]
+    assert ranks == sorted(ranks, reverse=desc)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_results_document_is_numbered_in_document_order(seed):
+    graph, patterns = _random_instance(random.Random(seed))
+    assert_document_order(write_sparql_results(eval_select(graph, SparqlQuery(None, patterns))))
+
+
+def test_results_document_with_typed_and_tagged_literals_is_in_document_order():
+    table = SolutionTable(["a", "b", "c"], [
+        {"a": Iri("http://t/#x"), "b": Literal("1", datatype=XSD_INTEGER)},
+        {"b": Literal("chat", language="fr"), "c": Literal("")},
+    ])
+    assert_document_order(write_sparql_results(table))

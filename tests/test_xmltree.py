@@ -6,19 +6,23 @@ import random
 
 import pytest
 
+from conftest import assert_document_order
 from xqowl.errors import NamespaceError, XmlParseError
+from xqowl.hostlang import parse_program
+from xqowl.interpreter import evaluate
 from xqowl.xmltree import (
     QName,
+    XmlNode,
     attribute,
     canonical_equal,
     canonical_key,
     clone,
-    document,
     element,
     get_attribute,
     parse_xml,
     serialize_xml,
     string_value,
+    sub_element,
     text,
 )
 
@@ -70,17 +74,48 @@ def test_parse_expands_predefined_entities():
     assert string_value(doc) == "<&>\"'"
 
 
+ORDERED_MARKUP = '<a p="1" q="2">x<b r="3"><c/>y</b><d s="4"/>z</a>'
+
+
+def _sub_element_tree() -> XmlNode:
+    root = element(QName(None, "a"), [(QName(None, "p"), "1")])
+    b = sub_element(root, QName(None, "b"), [(QName(None, "q"), "2")], "x")
+    sub_element(b, QName(None, "c"), value="y")
+    sub_element(root, QName(None, "d"))
+    return root
+
+
 def test_parse_keeps_document_order_in_node_ids():
-    doc = parse_xml("<a><b><c/></b><d/></a>")
-    order = []
+    # parsed, cloned and constructed trees, and trees built with sub_element
+    trees = [
+        parse_xml("<a><b><c/></b><d/></a>"),
+        parse_xml(ORDERED_MARKUP),
+        clone(parse_xml(ORDERED_MARKUP)),
+        _sub_element_tree(),
+        clone(_sub_element_tree()),
+        *evaluate(parse_program(
+            f'let $d := {ORDERED_MARKUP} return <r k="v">t{{($d, "u")}}<e>{{$d/b}}</e></r>')),
+        *evaluate(parse_program(f"document {{ {ORDERED_MARKUP} }}")),
+        *evaluate(parse_program(
+            f"let $d := document {{ {ORDERED_MARKUP} }} return document {{ $d/a }}")),
+    ]
+    assert len(trees) == 8
+    for tree in trees:
+        assert_document_order(tree)
 
-    def walk(n):
-        order.append(n.node_id)
-        for child in n.children:
-            walk(child)
 
-    walk(doc)
-    assert order == sorted(order)
+def test_document_order_check_rejects_a_tree_built_bottom_up():
+    leaf = element(QName(None, "leaf"))
+    with pytest.raises(AssertionError):
+        assert_document_order(element(QName(None, "root"), children=[leaf]))
+
+
+def test_sub_element_appends_a_child_with_its_text():
+    root = element(QName(None, "a"))
+    child = sub_element(root, QName(None, "b"), [(QName(None, "k"), "v")], "t")
+    assert root.children == [child]
+    assert serialize_xml(root) == '<a><b k="v">t</b></a>'
+    assert sub_element(child, QName(None, "c")).children == []
 
 
 def test_parse_error_carries_position():
@@ -145,7 +180,7 @@ def test_serialize_declares_namespaces_at_root():
     out = serialize_xml(node)
     assert f'xmlns:rdf="{RDF}"' in out
     assert f'xmlns:foaf="{FOAF}"' in out
-    assert canonical_equal(parse_xml(out), document(clone(node)))
+    assert canonical_equal(parse_xml(out).children[0], clone(node))
 
 
 def test_serialize_uses_default_namespace_for_unprefixed_names():
@@ -234,9 +269,10 @@ def _random_tree(rng: random.Random, depth: int = 0):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_parse_serialize_round_trip_is_canonical_identity(seed):
-    tree = document(_random_tree(random.Random(seed)))
+    tree = _random_tree(random.Random(seed))
     for indent in (False, True):
-        assert canonical_equal(parse_xml(serialize_xml(tree, indent=indent)), tree)
+        assert canonical_equal(parse_xml(serialize_xml(tree, indent=indent)).children[0],
+                               tree)
 
 
 def test_string_value_concatenates_descendant_text():
