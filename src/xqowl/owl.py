@@ -20,12 +20,14 @@ renderer recognizes them and emits the markers again.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import RdfParseError, UnsupportedFeatureError
 from .rdf import RDF_NS, RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL, XSD_NS, \
     Iri, Literal, Term, RdfGraph, term_key
-from .xmltree import QName, XmlNode, canonical_key, clone, element, sub_element, text
+from .xmltree import XML_NS, QName, XmlNode, element, sub_element, text
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -38,12 +40,12 @@ NOTHING_IRI = OWL_NS + "Nothing"
 
 @dataclass(frozen=True)
 class Thing:
-    pass
+    iri: ClassVar[str] = THING_IRI
 
 
 @dataclass(frozen=True)
 class Nothing:
-    pass
+    iri: ClassVar[str] = NOTHING_IRI
 
 
 @dataclass(frozen=True)
@@ -532,16 +534,37 @@ class _Unrenderable(Exception):
     """Axiom shape the entity-grouped renderer cannot express."""
 
 
-def _rdf(local: str) -> QName:
-    return QName(RDF_NS, local, "rdf")
+_PREFIXES = {RDF_NS: "rdf", RDFS_NS: "rdfs", OWL_NS: "owl", XML_NS: "xml"}
+_ABOUT, _RESOURCE, _DATATYPE = (RDF_NS, "about"), (RDF_NS, "resource"), (RDF_NS, "datatype")
+_COLLECTION = (((RDF_NS, "parseType"), "Collection"),)
 
 
-def _rdfs(local: str) -> QName:
-    return QName(RDFS_NS, local, "rdfs")
+def _describe(name: tuple[str, str], attrs=(), parts: tuple = ()) -> tuple:
+    """An element to render as (namespace, local, sorted attributes, parts),
+    each attribute ((namespace, local), value) and each part a description or
+    a _text; descriptions sort as canonical_key sorts what they describe."""
+    return (*name, tuple(sorted(attrs)), parts)
 
 
-def _owl(local: str) -> QName:
-    return QName(OWL_NS, local, "owl")
+def _text(value: str) -> tuple:
+    # equal stripped texts keep the order of their raw values
+    return ("text", value.strip(), value)
+
+
+# axiom type -> (kind of the entity it renders under, rank among its children, name)
+_PLACES = {
+    SubClassOf: ("class", 0, (RDFS_NS, "subClassOf")),
+    EquivalentClasses: ("class", 1, (OWL_NS, "equivalentClass")),
+    DisjointClasses: ("class", 2, (OWL_NS, "disjointWith")),
+    SubRoleOf: ("object", 1, (RDFS_NS, "subPropertyOf")),
+    InverseRoles: ("object", 2, (OWL_NS, "inverseOf")),
+    DisjointRoles: ("object", 3, (OWL_NS, "propertyDisjointWith")),
+    RoleChain: ("object", 4, (OWL_NS, "propertyChainAxiom")),
+    Domain: ("object", 5, (RDFS_NS, "domain")),
+    Range: ("object", 6, (RDFS_NS, "range")),
+    DataDomain: ("data", 0, (RDFS_NS, "domain")),
+    DataRange: ("data", 1, (RDFS_NS, "range")),
+}
 
 
 def _marker_of(axiom: Axiom) -> tuple[str, str] | None:
@@ -572,170 +595,146 @@ def _named_class(expr: ClassExpr) -> str:
 
 
 class _Renderer:
-    def __init__(self, ont: Ontology):
-        self.ont = ont
-        # iri -> list of (rank, tiebreak, element), per entity kind
-        self.children: dict[str, dict[str, list[tuple]]] = \
-            {"class": {}, "object": {}, "data": {}, "individual": {}}
-        self.mentioned: dict[str, set[str]] = \
-            {"class": set(), "object": set(), "data": set(), "individual": set()}
+    def __init__(self):
+        # (entity kind, iri) -> list of (rank, description)
+        self.children: dict[tuple[str, str], list[tuple]] = defaultdict(list)
+        self.mentioned: dict[str, set[str]] = defaultdict(set)  # kind -> iris
         self.foreign_prefixes: dict[str, str] = {}
+        # (namespace, local) -> QName, with the prefix hint it is written under
+        self.names: dict[tuple[str, str], QName] = {}
 
-    def child(self, kind: str, iri: str, rank: int, node: XmlNode) -> None:
-        bucket = self.children[kind].setdefault(iri, [])
-        bucket.append((rank, canonical_key(node), node))
+    def child(self, kind: str, iri: str, rank: int, description: tuple) -> None:
+        self.children[kind, iri].append((rank, description))
         self.mentioned[kind].add(iri)
 
-    def mention_expr(self, expr: ClassExpr) -> None:
+    def class_ref(self, name: tuple[str, str], expr: ClassExpr) -> tuple:
+        """A property child pointing at a class: by reference or nested node."""
         self.mentioned["class"] |= named_classes_in(expr)
         self.mentioned["object"] |= roles_in(expr)
+        if isinstance(expr, (Named, Thing, Nothing)):
+            return _describe(name, [(_RESOURCE, expr.iri)])
+        return _describe(name, parts=(self.class_node(expr),))
 
-    def class_ref(self, name: QName, expr: ClassExpr) -> XmlNode:
-        """A property child pointing at a class: by reference or nested node."""
-        self.mention_expr(expr)
-        if isinstance(expr, Named):
-            return element(name, [(_rdf("resource"), expr.iri)])
-        if isinstance(expr, Thing):
-            return element(name, [(_rdf("resource"), THING_IRI)])
-        if isinstance(expr, Nothing):
-            return element(name, [(_rdf("resource"), NOTHING_IRI)])
-        return element(name, children=[self.class_node(expr)])
-
-    def class_node(self, expr: ClassExpr) -> XmlNode:
-        if isinstance(expr, Named):
-            return element(_owl("Class"), [(_rdf("about"), expr.iri)])
-        if isinstance(expr, Thing):
-            return element(_owl("Class"), [(_rdf("about"), THING_IRI)])
-        if isinstance(expr, Nothing):
-            return element(_owl("Class"), [(_rdf("about"), NOTHING_IRI)])
+    def class_node(self, expr: ClassExpr) -> tuple:
+        if isinstance(expr, (Named, Thing, Nothing)):
+            return _describe((OWL_NS, "Class"), [(_ABOUT, expr.iri)])
         if isinstance(expr, And):
-            members = element(_owl("intersectionOf"),
-                              [(_rdf("parseType"), "Collection")],
-                              [self.class_node(p) for p in expr.parts])
-            return element(_owl("Class"), children=[members])
+            members = _describe((OWL_NS, "intersectionOf"), _COLLECTION,
+                                tuple(self.class_node(p) for p in expr.parts))
+            return _describe((OWL_NS, "Class"), parts=(members,))
         if isinstance(expr, Exists):
-            return element(_owl("Restriction"), children=[
+            return _describe((OWL_NS, "Restriction"), parts=(
                 self.on_property(expr.role),
-                self.class_ref(_owl("someValuesFrom"), expr.filler)])
+                self.class_ref((OWL_NS, "someValuesFrom"), expr.filler)))
         if isinstance(expr, ExistsSelf):
-            true = element(_owl("hasSelf"),
-                           [(_rdf("datatype"), XSD_NS + "boolean")], [text("true")])
-            return element(_owl("Restriction"),
-                           children=[self.on_property(expr.role), true])
+            true = _describe((OWL_NS, "hasSelf"), [(_DATATYPE, XSD_NS + "boolean")],
+                             (_text("true"),))
+            return _describe((OWL_NS, "Restriction"),
+                             parts=(self.on_property(expr.role), true))
         if isinstance(expr, MaxCard):
             qualified = not isinstance(expr.filler, Thing)
-            constraint = [element(
-                _owl("maxQualifiedCardinality" if qualified else "maxCardinality"),
-                [(_rdf("datatype"), XSD_NS + "nonNegativeInteger")], [text(str(expr.n))])]
+            constraint = (_describe(
+                (OWL_NS, "maxQualifiedCardinality" if qualified else "maxCardinality"),
+                [(_DATATYPE, XSD_NS + "nonNegativeInteger")], (_text(str(expr.n)),)),)
             if qualified:
-                constraint.append(self.class_ref(_owl("onClass"), expr.filler))
-            return element(_owl("Restriction"),
-                           children=[self.on_property(expr.role)] + constraint)
+                constraint += (self.class_ref((OWL_NS, "onClass"), expr.filler),)
+            return _describe((OWL_NS, "Restriction"),
+                             parts=(self.on_property(expr.role),) + constraint)
         raise _Unrenderable  # Forall has no rendering in the subset
 
-    def on_property(self, role: RoleExpr) -> XmlNode:
-        iri = _named_role(role)
-        self.mentioned["object"].add(iri)
-        return element(_owl("onProperty"), [(_rdf("resource"), iri)])
+    def on_property(self, role: RoleExpr) -> tuple:
+        return self.role_ref((OWL_NS, "onProperty"), _named_role(role))
 
-    def role_ref(self, name: QName, iri: str) -> XmlNode:
+    def role_ref(self, name: tuple[str, str], iri: str) -> tuple:
         self.mentioned["object"].add(iri)
-        return element(name, [(_rdf("resource"), iri)])
-
-    def marker(self, role_iri: str, kind: str) -> None:
-        self.child("object", role_iri, 0,
-                   element(_rdf("type"), [(_rdf("resource"), OWL_NS + kind)]))
+        return _describe(name, [(_RESOURCE, iri)])
 
     def add_axiom(self, axiom: Axiom) -> None:
         marker = _marker_of(axiom)
         if marker is not None:
-            self.marker(*marker)
+            role_iri, kind = marker
+            self.child("object", role_iri, 0,
+                       _describe((RDF_NS, "type"), [(_RESOURCE, OWL_NS + kind)]))
             return
+        kind, rank, name = _PLACES[type(axiom)]
         if isinstance(axiom, SubClassOf):
-            anchor = _named_class(axiom.sub)
-            self.child("class", anchor, 0,
-                       self.class_ref(_rdfs("subClassOf"), axiom.sup))
-        elif isinstance(axiom, EquivalentClasses):
-            anchor = _named_class(axiom.left)
-            self.child("class", anchor, 1,
-                       self.class_ref(_owl("equivalentClass"), axiom.right))
-        elif isinstance(axiom, DisjointClasses):
-            anchor = _named_class(axiom.left)
-            self.child("class", anchor, 2,
-                       self.class_ref(_owl("disjointWith"), axiom.right))
+            anchor, content = _named_class(axiom.sub), self.class_ref(name, axiom.sup)
+        elif isinstance(axiom, (EquivalentClasses, DisjointClasses)):
+            anchor, content = _named_class(axiom.left), self.class_ref(name, axiom.right)
         elif isinstance(axiom, SubRoleOf):
             anchor = _named_role(axiom.sub)
-            self.child("object", anchor, 1,
-                       self.role_ref(_rdfs("subPropertyOf"), _named_role(axiom.sup)))
-        elif isinstance(axiom, InverseRoles):
-            self.mentioned["object"].add(axiom.right)
-            self.child("object", axiom.left, 2,
-                       self.role_ref(_owl("inverseOf"), axiom.right))
-        elif isinstance(axiom, DisjointRoles):
-            self.child("object", axiom.left, 3,
-                       self.role_ref(_owl("propertyDisjointWith"), axiom.right))
+            content = self.role_ref(name, _named_role(axiom.sup))
+        elif isinstance(axiom, (InverseRoles, DisjointRoles)):
+            anchor, content = axiom.left, self.role_ref(name, axiom.right)
         elif isinstance(axiom, RoleChain):
             links = [_named_role(axiom.first), _named_role(axiom.second)]
             self.mentioned["object"] |= set(links)
-            chain = element(_owl("propertyChainAxiom"),
-                            [(_rdf("parseType"), "Collection")],
-                            [element(_owl("ObjectProperty"), [(_rdf("about"), link)])
-                             for link in links])
-            self.child("object", _named_role(axiom.implied), 4, chain)
-        elif isinstance(axiom, Domain):
-            self.child("object", _named_role(axiom.role), 5,
-                       self.class_ref(_rdfs("domain"), axiom.cls))
-        elif isinstance(axiom, Range):
-            self.child("object", _named_role(axiom.role), 6,
-                       self.class_ref(_rdfs("range"), axiom.cls))
+            anchor = _named_role(axiom.implied)
+            content = _describe(name, _COLLECTION, tuple(
+                _describe((OWL_NS, "ObjectProperty"), [(_ABOUT, link)]) for link in links))
+        elif isinstance(axiom, (Domain, Range)):
+            anchor, content = _named_role(axiom.role), self.class_ref(name, axiom.cls)
         elif isinstance(axiom, DataDomain):
-            self.child("data", axiom.prop, 0,
-                       self.class_ref(_rdfs("domain"), axiom.cls))
-        elif isinstance(axiom, DataRange):
-            self.child("data", axiom.prop, 1,
-                       element(_rdfs("range"), [(_rdf("resource"), axiom.datatype)]))
+            anchor, content = axiom.prop, self.class_ref(name, axiom.cls)
         else:
-            raise _Unrenderable
+            anchor, content = axiom.prop, _describe(name, [(_RESOURCE, axiom.datatype)])
+        self.child(kind, anchor, rank, content)
 
-    def property_qname(self, iri: str) -> QName:
-        cut = max(iri.rfind("#"), iri.rfind("/"))
+    def property_name(self, iri: str) -> tuple[str, str]:
+        """(namespace, local) split at the IRI's last '#', '/' or ':'."""
+        cut = max(iri.rfind("#"), iri.rfind("/"), iri.rfind(":"))
         if cut < 0 or cut == len(iri) - 1:
             raise _Unrenderable
-        namespace, local = iri[:cut + 1], iri[cut + 1:]
+        name = iri[:cut + 1], iri[cut + 1:]
+        prefix = self.foreign_prefixes.setdefault(
+            name[0], f"ns{len(self.foreign_prefixes) + 1}")
         try:
-            prefix = self.foreign_prefixes.setdefault(
-                namespace, f"ns{len(self.foreign_prefixes) + 1}")
-            return QName(namespace, local, prefix)
+            self.names[name] = QName(*name, prefix)
         except ValueError:
             raise _Unrenderable from None
+        return name
 
     def add_assertion(self, assertion: Assertion) -> None:
         if isinstance(assertion, ClassAssertion):
             self.mentioned["individual"].add(assertion.individual)
             self.child("individual", assertion.individual, 0,
-                       self.class_ref(_rdf("type"), assertion.cls))
+                       self.class_ref((RDF_NS, "type"), assertion.cls))
         elif isinstance(assertion, RoleAssertion):
             self.mentioned["individual"] |= {assertion.subject, assertion.object}
-            node = element(self.property_qname(assertion.role),
-                           [(_rdf("resource"), assertion.object)])
-            self.child("individual", assertion.subject, 1, node)
+            self.child("individual", assertion.subject, 1, _describe(
+                self.property_name(assertion.role), [(_RESOURCE, assertion.object)]))
         else:
             self.mentioned["individual"].add(assertion.subject)
-            attrs = []
-            if assertion.value.datatype is not None:
-                attrs.append((_rdf("datatype"), assertion.value.datatype))
-            node = element(self.property_qname(assertion.prop), attrs,
-                           [text(assertion.value.lexical)])
-            self.child("individual", assertion.subject, 2, node)
+            value = assertion.value
+            attrs = [(_DATATYPE, value.datatype), ((XML_NS, "lang"), value.language)]
+            self.child("individual", assertion.subject, 2, _describe(
+                self.property_name(assertion.prop), [a for a in attrs if a[1] is not None],
+                (_text(value.lexical),)))
 
-    def entity_elements(self, root: XmlNode, kind: str, tag: QName,
+    def build(self, parent: XmlNode, description: tuple) -> XmlNode:
+        """Create the described element as parent's last child, then its content."""
+        namespace, local, attrs, parts = description
+        node = sub_element(parent, self.qname(namespace, local),
+                           [(self.qname(*attr), value) for attr, value in attrs])
+        for part in parts:
+            if part[0] == "text":
+                node.append(text(part[2]))
+            else:
+                self.build(node, part)
+        return node
+
+    def qname(self, namespace: str, local: str) -> QName:
+        if (namespace, local) not in self.names:
+            self.names[namespace, local] = QName(namespace, local, _PREFIXES[namespace])
+        return self.names[namespace, local]
+
+    def entity_elements(self, root: XmlNode, kind: str, tag: str,
                         declared: frozenset[str]) -> None:
         # every entity with a child is also mentioned
         for iri in sorted(self.mentioned[kind] | declared):
-            entity = sub_element(root, tag, [(_rdf("about"), iri)])
-            for _, _, node in sorted(self.children[kind].get(iri, []),
-                                     key=lambda item: (item[0], item[1])):
-                entity.append(clone(node))
+            entity = self.build(root, _describe((OWL_NS, tag), [(_ABOUT, iri)]))
+            for _, description in sorted(self.children.get((kind, iri), ())):
+                self.build(entity, description)
 
 
 def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
@@ -745,8 +744,12 @@ def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
     plus bare declarations for every entity those axioms reference.  Axiom
     shapes the grouping cannot express (anonymous anchors, Forall) are
     skipped; the output covers exactly the renderable subset.
+
+    Entities come by kind, then IRI; an entity's children by their rank in
+    _PLACES (for an individual: rdf:type, role, then data assertions), then
+    as canonical_key orders them, equal stripped texts by their raw texts.
     """
-    renderer = _Renderer(ont)
+    renderer = _Renderer()
     for axiom in ont.tbox:
         if subject is not None and subject not in axiom_subjects(axiom):
             continue
@@ -762,15 +765,15 @@ def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
         except _Unrenderable:
             pass
     doc = XmlNode("document")
-    root = sub_element(doc, _rdf("RDF"))
+    root = renderer.build(doc, _describe((RDF_NS, "RDF")))
     if subject is None and ont.iri:
-        sub_element(root, _owl("Ontology"), [(_rdf("about"), ont.iri)])
+        renderer.build(root, _describe((OWL_NS, "Ontology"), [(_ABOUT, ont.iri)]))
     declared = (ont.classes, ont.object_properties, ont.data_properties,
                 ont.individuals) if subject is None else (frozenset(),) * 4
     for kind, tag, names in zip(("class", "object", "data", "individual"),
                                 ("Class", "ObjectProperty", "DatatypeProperty",
                                  "NamedIndividual"), declared):
-        renderer.entity_elements(root, kind, _owl(tag), names)
+        renderer.entity_elements(root, kind, tag, names)
     return doc
 
 

@@ -68,7 +68,7 @@ class _Facts:
         if isinstance(expr, Thing):
             return True
         if isinstance(expr, (Named, Nothing)):
-            return (individual, _class_iri(expr)) in self.class_facts
+            return (individual, expr.iri) in self.class_facts
         if isinstance(expr, And):
             return all(self.check(individual, p) for p in expr.parts)
         if isinstance(expr, ExistsSelf):
@@ -101,7 +101,7 @@ class SaturatedAbox(_Facts):
 def display_class(expr: ClassExpr) -> str:
     """Compact rendering of a class expression for clash reports."""
     if isinstance(expr, (Named, Nothing, Thing)):
-        return _class_iri(expr)
+        return expr.iri
     if isinstance(expr, And):
         return "(" + " and ".join(display_class(p) for p in expr.parts) + ")"
     if isinstance(expr, ExistsSelf):
@@ -114,11 +114,6 @@ def display_class(expr: ClassExpr) -> str:
 
 def display_role(role: RoleExpr) -> str:
     return role.iri if isinstance(role, Role) else f"inverse({role.iri})"
-
-
-def _class_iri(expr: Named | Nothing | Thing) -> str:
-    return expr.iri if isinstance(expr, Named) else \
-        NOTHING_IRI if isinstance(expr, Nothing) else THING_IRI
 
 
 def _mentions(expr: ClassExpr, kind: type) -> bool:
@@ -207,7 +202,7 @@ class _Rules:
 
     def _triggers(self, rule: int, expr: ClassExpr, path: tuple) -> None:
         if isinstance(expr, (Named, Nothing)):
-            self.triggers[_class_iri(expr)].append((rule, path))
+            self.triggers[expr.iri].append((rule, path))
         elif isinstance(expr, And):
             for part in expr.parts:
                 self._triggers(rule, part, path)
@@ -273,9 +268,9 @@ class _Engine(_Facts):
         key identifies the asserting context, so each existential position
         has one witness, named by key, however often the rule fires."""
         if isinstance(expr, (Named, Nothing)):
-            if (individual, _class_iri(expr)) not in self.class_facts:
-                self.class_facts.add((individual, _class_iri(expr)))
-                self._touch(_class_iri(expr), individual)
+            if (individual, expr.iri) not in self.class_facts:
+                self.class_facts.add((individual, expr.iri))
+                self._touch(expr.iri, individual)
         elif isinstance(expr, And):
             for position, part in enumerate(expr.parts):
                 self.assert_expr(individual, part, key + (position,), materialize)
@@ -384,9 +379,9 @@ def saturate(ont: Ontology, rules: _Rules | None = None) -> SaturatedAbox:
 class Reasoner:
     """Reasoning facade over one immutable ontology.
 
-    The compiled TBox, the saturation and subsumption answers are memoized
-    per instance; the accepted backend profile names are interchangeable
-    labels kept only for reporting.
+    The compiled TBox, the saturation and each class expression's canonical
+    model are memoized per instance; the accepted backend profile names are
+    interchangeable labels kept only for reporting.
     """
 
     PROFILES = ("hermit", "pellet", "fact")
@@ -396,7 +391,7 @@ class Reasoner:
             raise ValueError(f"unknown reasoner profile {profile!r}; "
                              f"expected one of {', '.join(self.PROFILES)}")
         self.ontology, self.profile = ont, profile
-        self._subsumptions: dict[tuple[ClassExpr, ClassExpr], bool] = {}
+        self._models: dict[ClassExpr, SaturatedAbox] = {}
 
     @cached_property
     def _rules(self) -> _Rules:
@@ -431,18 +426,16 @@ class Reasoner:
         return self.saturation.named_fillers(subject, role, Thing())
 
     def is_subsumed(self, sub: ClassExpr, sup: ClassExpr) -> bool:
-        key = (sub, sup)
-        if key not in self._subsumptions:
+        model = self._models.get(sub)
+        if model is None:
             canonical = Ontology(
                 iri=self.ontology.iri, tbox=self.ontology.tbox,
                 abox=frozenset({ClassAssertion(CANONICAL_INDIVIDUAL, sub)}))
-            sat = saturate(canonical, self._rules)
-            self._subsumptions[key] = bool(sat.clashes) or \
-                sat.check(CANONICAL_INDIVIDUAL, sup)
-        return self._subsumptions[key]
+            model = self._models[sub] = saturate(canonical, self._rules)
+        return bool(model.clashes) or model.check(CANONICAL_INDIVIDUAL, sup)
 
     def subclasses(self, expr: ClassExpr, direct: bool = False) -> set[str]:
-        skip = _class_iri(expr) if isinstance(expr, (Named, Nothing)) else None
+        skip = expr.iri if isinstance(expr, (Named, Nothing)) else None
         candidates = sorted(self.ontology.named_classes() | {NOTHING_IRI})
         subs = {iri for iri in candidates
                 if iri != skip and self.is_subsumed(self._as_expr(iri), expr)}

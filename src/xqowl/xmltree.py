@@ -7,6 +7,7 @@ hint and never takes part in equality.
 
 Every tree is built parent first (by the parser, clone, or sub_element,
 ElementTree's SubElement idiom), so node_id order is document order.
+canonical_key is for comparison only: nothing in the package sorts by it.
 """
 
 from __future__ import annotations
@@ -96,13 +97,10 @@ class XmlNode:
         return "<XmlNode document>"
 
 
-def element(name: QName, attrs: list[tuple[QName, str]] | None = None,
-            children: list[XmlNode] | None = None) -> XmlNode:
+def element(name: QName, attrs: list[tuple[QName, str]] | None = None) -> XmlNode:
     node = XmlNode("element", name=name)
     for aname, avalue in attrs or []:
         node.set_attribute(attribute(aname, avalue))
-    for child in children or []:
-        node.append(child)
     return node
 
 

@@ -4,21 +4,22 @@ import random
 
 import pytest
 
-from conftest import assert_document_order
+from conftest import FIXTURES, assert_document_order, preorder_ids
 from test_reasoner import random_ontology
 
 from xqowl.errors import RdfParseError, UnsupportedFeatureError
 from xqowl.owl import (
     And, ClassAssertion, DataAssertion, DataDomain, DataRange, DisjointClasses,
-    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Inverse,
+    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Forall, Inverse,
     InverseRoles, MaxCard, Named, Nothing, Ontology, Range, Role, RoleAssertion,
     RoleChain, SubClassOf, SubRoleOf, Thing, axioms_to_xml, entities_to_xml,
-    functional_axiom, irreflexive_axiom, load_ontology,
+    axiom_subjects, functional_axiom, irreflexive_axiom, load_ontology,
     named_classes_in, roles_in, symmetric_axiom,
 )
 from xqowl.rdf import XSD_NS, Literal, RdfGraph, parse_rdfxml
 from xqowl.xmltree import (
-    QName, canonical_key, child_elements, element, serialize_xml, string_value,
+    QName, XmlNode, canonical_key, child_elements, element, get_attribute,
+    serialize_xml, string_value,
 )
 
 SN = "http://www.semanticweb.org/socialnetwork.owl"
@@ -349,8 +350,11 @@ def owlq(local: str) -> QName:
     return QName(OWL_NS, local, "owl")
 
 
-def el(name, attrs=None, children=None):
-    return element(name, attrs, children)
+def el(name, attrs=None, children=()):
+    node = element(name, attrs)
+    for child in children:
+        node.append(child)
+    return node
 
 
 def keys(nodes) -> set:
@@ -484,3 +488,149 @@ class TestRenderedDocumentOrder:
     def test_entities(self):
         for node in entities_to_xml([sn("message1"), sn("event1")], QName(None, "instance")):
             assert_document_order(node)
+
+
+# -- the renderer's child order and node economy ------------------------------------
+
+FOREIGN = ("http://ex.org/a#", "http://ex.org/b/")
+LEXICALS = ("", " ", "  ", "x", " x", "x ", " x ", "\n", "\tq\n", "10", "2", "a b")
+
+
+def generated_ontology(rng: random.Random) -> Ontology:
+    """Nested intersections and restrictions (self, max-cardinality 0-12,
+    Thing/Nothing fillers), typed and untyped literals with leading,
+    trailing or only whitespace or none at all, over two foreign namespaces."""
+    classes = [rng.choice(FOREIGN) + f"C{k}" for k in range(5)]
+    roles = [rng.choice(FOREIGN) + f"r{k}" for k in range(4)]
+    props = [rng.choice(FOREIGN) + f"d{k}" for k in range(3)]
+    individuals = [rng.choice(FOREIGN) + f"i{k}" for k in range(5)]
+
+    def role():
+        return Inverse(rng.choice(roles)) if rng.random() < 0.05 else Role(rng.choice(roles))
+
+    def expr(depth=0):
+        k = rng.random()
+        if depth > 2 or k < 0.35:
+            return rng.choice((Thing(), Nothing(), *map(Named, classes)))
+        if k < 0.5:
+            return And(tuple(expr(depth + 1) for _ in range(rng.randint(2, 3))))
+        if k < 0.65:
+            return Exists(role(), expr(depth + 1))
+        if k < 0.72:
+            return ExistsSelf(role())
+        if k < 0.95:
+            filler = Thing() if rng.random() < 0.4 else expr(depth + 1)
+            return MaxCard(rng.randint(0, 12), role(), filler)
+        return Forall(role(), expr(depth + 1))
+
+    def anchor():
+        return Named(rng.choice(classes)) if rng.random() < 0.8 else expr()
+
+    makers = (
+        lambda: SubClassOf(anchor(), expr()),
+        lambda: EquivalentClasses(anchor(), expr()),
+        lambda: DisjointClasses(anchor(), expr()),
+        lambda: SubRoleOf(role(), role()),
+        lambda: RoleChain(role(), role(), role()),
+        lambda: InverseRoles(rng.choice(roles), rng.choice(roles)),
+        lambda: DisjointRoles(rng.choice(roles), rng.choice(roles)),
+        lambda: Domain(role(), expr()),
+        lambda: Range(role(), expr()),
+        lambda: DataDomain(rng.choice(props), expr()),
+        lambda: DataRange(rng.choice(props), XSD_NS + rng.choice(("string", "int"))),
+        lambda: symmetric_axiom(rng.choice(roles)),
+        lambda: functional_axiom(rng.choice(roles)),
+        lambda: irreflexive_axiom(rng.choice(roles)),
+        lambda: ClassAssertion(rng.choice(individuals), anchor()),
+        lambda: RoleAssertion(rng.choice(individuals), rng.choice(roles),
+                              rng.choice(individuals)),
+        lambda: DataAssertion(rng.choice(individuals), rng.choice(props), Literal(
+            rng.choice(LEXICALS), rng.choice((None, XSD_NS + "string", XSD_NS + "int")))),
+    )
+    made = [rng.choice(makers)() for _ in range(rng.randint(0, 28))]
+    assertions = (ClassAssertion, RoleAssertion, DataAssertion)
+    some = lambda iris: frozenset(i for i in iris if rng.random() < 0.3)
+    return Ontology(iri=rng.choice(("", "http://ex.org/onto")),
+                    tbox=frozenset(a for a in made if not isinstance(a, assertions)),
+                    abox=frozenset(a for a in made if isinstance(a, assertions)),
+                    classes=some(classes), object_properties=some(roles),
+                    data_properties=some(props), individuals=some(individuals))
+
+
+def entities_of(ont: Ontology) -> list[str]:
+    return sorted(ont.named_classes() | ont.object_properties | ont.data_properties
+                  | ont.all_individuals()
+                  | {r for a in ont.tbox for r in axiom_subjects(a)})
+
+
+def rendering_cases(source: str) -> list[tuple[Ontology, str | None]]:
+    """(ontology, subject) pairs: a fixture whole and per entity, or
+    random or generated ontologies whole and per a few entities."""
+    if source.endswith(".owl"):
+        ont = load_ontology(parse_rdfxml((FIXTURES / source).read_text()))
+        return [(ont, None)] + [(ont, s) for s in entities_of(ont)]
+    cases = []
+    for seed in range(50):
+        rng = random.Random(seed)
+        ont = random_ontology(rng) if source == "random" else generated_ontology(rng)
+        subjects = entities_of(ont)
+        cases += [(ont, None)] + [(ont, s) for s in rng.sample(subjects, min(3, len(subjects)))]
+    return cases
+
+
+RENDERING_SOURCES = ["socialnetwork.owl", "ontology_papers.owl", "random", "generated"]
+
+# each entity tag's child names in rank order, written out apart from owl._PLACES
+CHILD_RANKS = {
+    "Class": [(RDFS_NS, "subClassOf"), (OWL_NS, "equivalentClass"), (OWL_NS, "disjointWith")],
+    "ObjectProperty": [(RDF_NS, "type"), (RDFS_NS, "subPropertyOf"), (OWL_NS, "inverseOf"),
+                       (OWL_NS, "propertyDisjointWith"), (OWL_NS, "propertyChainAxiom"),
+                       (RDFS_NS, "domain"), (RDFS_NS, "range")],
+    "DatatypeProperty": [(RDFS_NS, "domain"), (RDFS_NS, "range")],
+}
+
+
+def child_rank(entity: XmlNode, child: XmlNode) -> int:
+    name = (child.name.namespace, child.name.local)
+    if entity.name.local != "NamedIndividual":
+        return CHILD_RANKS[entity.name.local].index(name)
+    if name == (RDF_NS, "type"):
+        return 0
+    return 1 if get_attribute(child, rdfq("resource")) is not None else 2
+
+
+class TestRenderedChildOrder:
+    @pytest.mark.parametrize("source", RENDERING_SOURCES)
+    def test_children_in_rank_then_canonical_order(self, source):
+        for ont, subject in rendering_cases(source):
+            root = child_elements(axioms_to_xml(ont, subject=subject))[0]
+            for entity in child_elements(root):
+                if entity.name == owlq("Ontology"):
+                    continue
+                keys = [(child_rank(entity, c), canonical_key(c), string_value(c))
+                        for c in entity.children]
+                assert keys == sorted(keys), (subject, serialize_xml(entity))
+
+    @pytest.mark.parametrize("source", RENDERING_SOURCES)
+    def test_each_node_is_created_once(self, source):
+        for ont, subject in rendering_cases(source):
+            before = XmlNode("text").node_id
+            doc = axioms_to_xml(ont, subject=subject)
+            created = XmlNode("text").node_id - before - 1
+            assert created == len(preorder_ids(doc)), subject
+
+    def test_language_tags_round_trip(self):
+        a, label = "urn:ex#a", "urn:ex#label"
+        ont = Ontology(iri="", tbox=frozenset(), abox=frozenset({
+            DataAssertion(a, label, Literal("hi", language="en")),
+            DataAssertion(a, label, Literal("hi", language="fr"))}),
+            data_properties=frozenset({label}), individuals=frozenset({a}))
+        markup = serialize_xml(axioms_to_xml(ont))
+        assert load_ontology(parse_rdfxml(markup)).abox == ont.abox
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_ontology_round_trip(self, seed):
+        """Its roles are urn:ex:* IRIs, split at the last ':'."""
+        ont = random_ontology(random.Random(seed))
+        back = load_ontology(parse_rdfxml(serialize_xml(axioms_to_xml(ont))))
+        assert (back.tbox, back.abox) == (ont.tbox, ont.abox)

@@ -18,6 +18,7 @@ from xqowl.owl import (
     SubClassOf, SubRoleOf, Thing, functional_axiom, irreflexive_axiom,
     load_ontology, symmetric_axiom,
 )
+from xqowl import reasoner as reasoner_module
 from xqowl.rdf import Literal, parse_rdfxml
 from xqowl.reasoner import (
     ClashReport, Reasoner, SaturatedAbox, _Facts, display_class, saturate,
@@ -488,6 +489,28 @@ class TestSubclasses:
     def test_a_class_is_not_its_own_subclass(self, social_reasoner, social):
         for iri in social.named_classes():
             assert iri not in social_reasoner.subclasses(Named(iri))
+
+
+class TestSharedCanonicalModels:
+    @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl", "random"])
+    def test_one_reasoner_answers_as_fresh_ones(self, source, monkeypatch):
+        """One saturation per distinct candidate subclass, however many
+        superclasses it is tested against."""
+        onts = [load_ontology(parse_rdfxml(fixture_text(source)))] \
+            if source.endswith(".owl") else \
+            [random_ontology(random.Random(seed)) for seed in range(50)]
+        calls = []
+        counted = lambda *args: calls.append(args) or saturate(*args)
+        monkeypatch.setattr(reasoner_module, "saturate", counted)
+        for ont in onts:
+            classes = sorted(ont.named_classes())
+            shared, before = Reasoner(ont), len(calls)
+            answers = {(c, direct): shared.subclasses(Named(c), direct=direct)
+                       for c in classes for direct in (False, True)}
+            # every tested subclass is a named class or owl:Nothing
+            assert len(calls) - before <= len(classes) + 1
+            for (c, direct), answer in answers.items():
+                assert answer == Reasoner(ont).subclasses(Named(c), direct=direct)
 
 
 class TestReasonerFacade:

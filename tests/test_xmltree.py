@@ -106,8 +106,10 @@ def test_parse_keeps_document_order_in_node_ids():
 
 def test_document_order_check_rejects_a_tree_built_bottom_up():
     leaf = element(QName(None, "leaf"))
+    root = element(QName(None, "root"))
+    root.append(leaf)
     with pytest.raises(AssertionError):
-        assert_document_order(element(QName(None, "root"), children=[leaf]))
+        assert_document_order(root)
 
 
 def test_sub_element_appends_a_child_with_its_text():
@@ -155,7 +157,8 @@ def test_xml_declaration_is_accepted():
 
 def test_serialize_empty_element_is_self_closing():
     assert serialize_xml(element(QName(None, "a"))) == "<a/>"
-    only_empty_text = element(QName(None, "a"), children=[text("")])
+    only_empty_text = element(QName(None, "a"))
+    only_empty_text.append(text(""))
     assert serialize_xml(only_empty_text) == "<a/>"
 
 
@@ -166,17 +169,15 @@ def test_serialize_sorts_attributes():
 
 
 def test_serialize_escapes():
-    node = element(QName(None, "a"),
-                   attrs=[(QName(None, "v"), 'x"<&')],
-                   children=[text("a<b&c")])
+    node = element(QName(None, "a"), attrs=[(QName(None, "v"), 'x"<&')])
+    node.append(text("a<b&c"))
     assert serialize_xml(node) == '<a v="x&quot;&lt;&amp;">a&lt;b&amp;c</a>'
 
 
 def test_serialize_declares_namespaces_at_root():
-    node = element(QName(RDF, "RDF", prefix="rdf"), children=[
-        element(QName(FOAF, "Person", prefix="foaf"),
-                attrs=[(QName(RDF, "about", prefix="rdf"), "#b1")]),
-    ])
+    node = element(QName(RDF, "RDF", prefix="rdf"))
+    sub_element(node, QName(FOAF, "Person", prefix="foaf"),
+                [(QName(RDF, "about", prefix="rdf"), "#b1")])
     out = serialize_xml(node)
     assert f'xmlns:rdf="{RDF}"' in out
     assert f'xmlns:foaf="{FOAF}"' in out
@@ -185,7 +186,8 @@ def test_serialize_declares_namespaces_at_root():
 
 def test_serialize_uses_default_namespace_for_unprefixed_names():
     ns = "http://www.w3.org/2005/sparql-results#"
-    node = element(QName(ns, "sparql"), children=[element(QName(ns, "head"))])
+    node = element(QName(ns, "sparql"))
+    sub_element(node, QName(ns, "head"))
     out = serialize_xml(node)
     assert f'<sparql xmlns="{ns}">' in out
     reparsed = parse_xml(out).children[0]
@@ -194,8 +196,8 @@ def test_serialize_uses_default_namespace_for_unprefixed_names():
 
 
 def test_serialize_avoids_default_namespace_when_plain_names_exist():
-    node = element(QName("http://ex.org/", "outer"),
-                   children=[element(QName(None, "plain"))])
+    node = element(QName("http://ex.org/", "outer"))
+    sub_element(node, QName(None, "plain"))
     reparsed = parse_xml(serialize_xml(node)).children[0]
     assert reparsed.name == QName("http://ex.org/", "outer")
     assert reparsed.children[0].name == QName(None, "plain")
@@ -257,14 +259,14 @@ def _random_tree(rng: random.Random, depth: int = 0):
     name = QName(None, rng.choice("abcde"))
     attrs = [(QName(None, n), str(rng.randrange(10)))
              for n in rng.sample("pqrs", rng.randrange(3))]
-    children = []
+    node = element(name, attrs=attrs)
     if depth < 3:
         for _ in range(rng.randrange(4)):
             if rng.random() < 0.3:
-                children.append(text(rng.choice(["hi", "lo", "  ", "x y"])))
+                node.append(text(rng.choice(["hi", "lo", "  ", "x y"])))
             else:
-                children.append(_random_tree(rng, depth + 1))
-    return element(name, attrs=attrs, children=children)
+                node.append(_random_tree(rng, depth + 1))
+    return node
 
 
 @pytest.mark.parametrize("seed", range(40))
