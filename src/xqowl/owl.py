@@ -683,15 +683,17 @@ class _Renderer:
     def property_name(self, iri: str) -> tuple[str, str]:
         """(namespace, local) split at the IRI's last '#', '/' or ':'."""
         cut = max(iri.rfind("#"), iri.rfind("/"), iri.rfind(":"))
-        if cut < 0 or cut == len(iri) - 1:
-            raise _Unrenderable
         name = iri[:cut + 1], iri[cut + 1:]
-        prefix = self.foreign_prefixes.setdefault(
-            name[0], f"ns{len(self.foreign_prefixes) + 1}")
         try:
+            if cut < 0:
+                raise ValueError
+            prefix = self.foreign_prefixes.setdefault(
+                name[0], f"ns{len(self.foreign_prefixes) + 1}")
             self.names[name] = QName(*name, prefix)
         except ValueError:
-            raise _Unrenderable from None
+            raise UnsupportedFeatureError(
+                f"cannot render property {iri} as an RDF/XML element: it does "
+                f"not end in an XML name after a '#', '/' or ':'") from None
         return name
 
     def add_assertion(self, assertion: Assertion) -> None:
@@ -743,7 +745,9 @@ def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
     With a subject IRI, only axioms anchored on that entity are rendered,
     plus bare declarations for every entity those axioms reference.  Axiom
     shapes the grouping cannot express (anonymous anchors, Forall) are
-    skipped; the output covers exactly the renderable subset.
+    skipped; the output covers exactly the renderable subset. A role or
+    data assertion whose property IRI does not end in an XML name raises
+    UnsupportedFeatureError, as RDF/XML has no element name for it.
 
     Entities come by kind, then IRI; an entity's children by their rank in
     _PLACES (for an individual: rdf:type, role, then data assertions), then

@@ -122,6 +122,20 @@ class RdfGraph:
             candidates = bucket if candidates is None else candidates & bucket
         return list(self.triples if candidates is None else candidates)
 
+    def estimate(self, subject: Term | bool | None, predicate: Term | bool | None,
+                 obj: Term | bool | None) -> float:
+        """Expected size of a `match`, from the index sizes alone: a term
+        counts its bucket (0 if it has none), True (a term not known yet)
+        the index's mean bucket, and None (a wildcard) adds no limit."""
+        size: float = len(self.triples)
+        for index, key in ((self._by_s, subject), (self._by_p, predicate),
+                           (self._by_o, obj)):
+            if key is True:
+                size = min(size, len(self.triples) / max(len(index), 1))
+            elif key is not None:
+                size = min(size, len(index.get(key, ())))
+        return size
+
     def subjects(self, predicate: Iri | None = None, obj: Term | None = None) -> list[Iri]:
         """Distinct subjects of the matching triples, sorted by `term_key`."""
         return sorted({t.subject for t in self.match(None, predicate, obj)}, key=term_key)

@@ -4,6 +4,10 @@ optional ORDER BY.
 Matching is set-semantics over the asserted triples of a graph (simple
 entailment): duplicate solutions are removed, and without ORDER BY the
 rows come back sorted by their bound terms so results are reproducible.
+The patterns are joined in an order planned from the graph's index sizes
+(fewest expected matches first, ties in written order; see eval_bgp), so
+their written order does not change the answer, and changes the lookups
+only where two patterns tie.
 FILTER, OPTIONAL, UNION and LIMIT are recognized and rejected loudly.
 
 `_:name` subject tokens and relative IRI references (such as <#b1>)
@@ -260,8 +264,8 @@ def _resolve(term: PatternTerm, base: str) -> PatternTerm:
     return term
 
 
-def _ground(term: PatternTerm, row: dict[str, Term]) -> Term | None:
-    """Concrete term for a resolved pattern position, or None for a wildcard."""
+def _ground(term: PatternTerm, row: dict) -> Term | bool | None:
+    """A resolved pattern position's value in the row, None if unbound."""
     if isinstance(term, Variable):
         return row.get(term.name)
     return term
@@ -269,28 +273,36 @@ def _ground(term: PatternTerm, row: dict[str, Term]) -> Term | None:
 
 def eval_bgp(graph: RdfGraph,
              patterns: tuple[TriplePattern, ...] | list[TriplePattern]) -> SolutionTable:
-    """Join the pattern list against the graph.
+    """Join the pattern list against the graph, in a planned order.
 
-    Returns the rows over the patterns' variables in join order. They are
-    distinct: the graph's triples are, and each pattern position is either
-    ground or a variable, so distinct matches give distinct bindings. The
-    order of the rows is unspecified, because graph lookups are unordered;
-    eval_select sorts the answer.
+    Each step joins the remaining pattern with the fewest expected matches
+    by `RdfGraph.estimate`: a constant counts its index bucket, a variable
+    bound by an earlier step its index's mean bucket, and an unbound one
+    adds no limit. On a tie the pattern written first goes first.
+
+    Returns the rows over the patterns' variables in written order. They
+    are distinct: the graph's triples are, and each pattern position is
+    either ground or a variable, so distinct matches give distinct
+    bindings. The order of the rows is unspecified, because graph lookups
+    are unordered; eval_select sorts the answer.
     """
     variables = SparqlQuery(None, tuple(patterns)).variables()
     base = graph.base_iri
+    remaining = [TriplePattern(_resolve(p.subject, base), _resolve(p.predicate, base),
+                               _resolve(p.object, base)) for p in patterns]
     rows: list[dict[str, Term]] = [{}]
-    for pattern in patterns:
-        resolved = TriplePattern(_resolve(pattern.subject, base),
-                                 _resolve(pattern.predicate, base),
-                                 _resolve(pattern.object, base))
+    while remaining and rows:
+        bound = dict.fromkeys(rows[0], True)  # every row binds the same variables
+        pattern = min(remaining, key=lambda q: graph.estimate(
+            *(_ground(t, bound) for t in (q.subject, q.predicate, q.object))))
+        remaining.remove(pattern)
         next_rows: list[dict[str, Term]] = []
         for row in rows:
-            s = _ground(resolved.subject, row)
-            p = _ground(resolved.predicate, row)
+            s = _ground(pattern.subject, row)
+            p = _ground(pattern.predicate, row)
             if isinstance(s, Literal) or isinstance(p, Literal):
                 continue  # a literal is never a subject or a predicate
-            for triple in graph.match(s, p, _ground(resolved.object, row)):
+            for triple in graph.match(s, p, _ground(pattern.object, row)):
                 extended = _bind(row, pattern, triple)
                 if extended is not None:
                     next_rows.append(extended)

@@ -118,6 +118,23 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "intersectionOf" in err
 
+    def test_rendering_an_assertion_over_an_unnamable_property_is_an_error(
+            self, tmp_path, capsys):
+        # namespace urn:ex:1 + local p loads as urn:ex:1p, which has no XML
+        # name after its last ':'
+        (tmp_path / "odd.owl").write_text(
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns:owl="http://www.w3.org/2002/07/owl#" xmlns:ex="urn:ex:1">'
+            '<owl:ObjectProperty rdf:about="urn:ex:1p"/>'
+            '<owl:NamedIndividual rdf:about="urn:ex:a"><ex:p rdf:resource="urn:ex:b"/>'
+            '</owl:NamedIndividual></rdf:RDF>')
+        prog = tmp_path / "p.xq"
+        prog.write_text('xqowl:axioms(xqowl:load("odd.owl"))')
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "urn:ex:1p" in err
+
     def test_out_of_memory_is_an_error_not_a_traceback(self, monkeypatch, capsys):
         def exhausted(args):
             raise MemoryError

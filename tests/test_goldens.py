@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +35,18 @@ CHECKED = ("conference.xml", "conference_fixed.xml")
 ONTOLOGIES = ("socialnetwork.owl", "ontology_papers.owl")
 QUERY = ("PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
          "SELECT ?Person ?Name WHERE { ?Person foaf:name ?Name } ORDER BY DESC(?Name)")
+_PREFIXES = ("PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
+             "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> ")
+_JOIN = ("?a foaf:knows ?b", "?b foaf:name ?bn", "?a foaf:name ?an")
+_JOIN_ORDERS = [" . ".join(order) for order in itertools.permutations(_JOIN)]
+# one 3-pattern join in all six written orders (the last one with ORDER BY),
+# a SELECT * join and a join through a _:name subject
+JOIN_QUERIES = (
+    *(f"{_PREFIXES}SELECT ?a ?an ?bn WHERE {{ {where} }}" for where in _JOIN_ORDERS[:-1]),
+    f"{_PREFIXES}SELECT ?a ?an ?bn WHERE {{ {_JOIN_ORDERS[-1]} }} ORDER BY DESC(?bn) ?a",
+    f"{_PREFIXES}SELECT * WHERE {{ ?b foaf:name ?n . ?a foaf:knows ?b . ?a rdf:type foaf:Person }}",
+    f"{_PREFIXES}SELECT ?f ?n WHERE {{ ?f foaf:name ?n . _:b1 foaf:knows ?f }}",
+)
 
 
 def _stdout(argv: list[str]) -> str:
@@ -60,8 +73,13 @@ def check(data: str, workdir: Path) -> tuple[str, str]:
     return out, owl.read_text(encoding="utf-8")
 
 
-def query() -> str:
-    return _stdout(["query", QUERY, "--data", str(FIXTURES / "relations.rdf")])
+def query(text: str = QUERY) -> str:
+    return _stdout(["query", text, "--data", str(FIXTURES / "relations.rdf")])
+
+
+def join_queries() -> str:
+    """The result of every join query, one headed section per query."""
+    return "".join(f"== {text}\n{query(text)}" for text in JOIN_QUERIES)
 
 
 def reason_all(ontology: str) -> str:
@@ -107,6 +125,10 @@ def test_query_matches_its_golden():
     assert query() == golden("query-relations.out")
 
 
+def test_join_queries_match_their_golden():
+    assert join_queries() == golden("query-joins.txt")
+
+
 @pytest.mark.parametrize("ontology", ONTOLOGIES)
 def test_reason_tasks_match_their_golden(ontology):
     assert reason_all(ontology) == golden(f"reason-{Path(ontology).stem}.txt")
@@ -128,6 +150,7 @@ def regenerate() -> None:
         (GOLDENS / f"check-{stem}.out").write_text(out, encoding="utf-8")
         (GOLDENS / f"check-{stem}.owl").write_text(owl, encoding="utf-8")
     (GOLDENS / "query-relations.out").write_text(query(), encoding="utf-8")
+    (GOLDENS / "query-joins.txt").write_text(join_queries(), encoding="utf-8")
     for ontology in ONTOLOGIES:
         (GOLDENS / f"reason-{Path(ontology).stem}.txt").write_text(
             reason_all(ontology), encoding="utf-8")

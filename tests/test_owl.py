@@ -1,6 +1,7 @@
 """Ontology loading from RDF graphs and XML rendering of axioms/entities."""
 
 import random
+import re
 
 import pytest
 
@@ -627,6 +628,18 @@ class TestRenderedChildOrder:
             data_properties=frozenset({label}), individuals=frozenset({a}))
         markup = serialize_xml(axioms_to_xml(ont))
         assert load_ontology(parse_rdfxml(markup)).abox == ont.abox
+
+    @pytest.mark.parametrize("subject", [None, "urn:ex:a"])
+    @pytest.mark.parametrize("prop", ["urn:ex:1p", "http://ex.org/p?x=1", "urn"])
+    def test_assertion_over_a_property_with_no_xml_name_is_reported(self, prop, subject):
+        """RDF/XML cannot name the property element, so nothing is dropped
+        in silence."""
+        for assertion in (RoleAssertion("urn:ex:a", prop, "urn:ex:b"),
+                          DataAssertion("urn:ex:a", prop, Literal("v"))):
+            ont = Ontology(iri="", tbox=frozenset(), abox=frozenset({assertion}),
+                           individuals=frozenset({"urn:ex:a", "urn:ex:b"}))
+            with pytest.raises(UnsupportedFeatureError, match=re.escape(prop)):
+                axioms_to_xml(ont, subject=subject)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_random_ontology_round_trip(self, seed):

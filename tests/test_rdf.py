@@ -150,6 +150,25 @@ def test_lookups_match_a_brute_force_scan(seed):
             {t.object for t in _filtered(graph, s, p, None)}, key=term_key)
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_estimate_is_the_smallest_bucket_of_a_lookup(seed):
+    rng = random.Random(seed)
+    iris = [Iri(f"http://t/#{c}") for c in "abcdef"]
+    graph = RdfGraph({Triple(rng.choice(iris), rng.choice(iris[:3]), rng.choice(iris))
+                      for _ in range(rng.randrange(0, 40))})
+    for lookup in itertools.product((None, rng.choice(iris)), repeat=3):
+        buckets = [len(_filtered(graph, *(t if k == i else None for k, t in enumerate(lookup))))
+                   for i, term in enumerate(lookup) if term is not None]
+        assert graph.estimate(*lookup) == min(buckets, default=len(graph))
+        assert graph.estimate(*lookup) >= len(_filtered(graph, *lookup))
+    # a term known only at lookup time counts its index's mean bucket
+    for position in range(3):
+        distinct = {t[position] for t in graph}
+        lookup = [None] * 3
+        lookup[position] = True
+        assert graph.estimate(*lookup) == (len(graph) / len(distinct) if distinct else 0)
+
+
 def test_typed_literals_and_plain_literals():
     graph = parse_rdfxml(
         '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '

@@ -1,8 +1,9 @@
 """SPARQL subset: parsing, BGP joins, SELECT semantics.
 
-The join property test checks eval_bgp against a brute-force oracle
-that enumerates every assignment of variables to terms occurring in the
-graph and keeps those whose instantiated patterns are all asserted.
+The join property test checks eval_bgp, in every order of the patterns,
+against a brute-force oracle that enumerates every assignment of
+variables to terms occurring in the graph and keeps those whose
+instantiated patterns are all asserted.
 """
 
 from __future__ import annotations
@@ -232,29 +233,38 @@ def test_join_commutativity(relations):
 
 # -- randomized check against a brute-force oracle --------------------------------
 
-def _random_instance(rng: random.Random):
+def _random_instance(rng: random.Random, extended: bool = False):
+    """A small graph and 1-3 patterns over it. An extended instance has a
+    denser graph and 4 patterns over three variables, with constant
+    predicates, `_:name` subjects and constants the graph lacks."""
     iris = [Iri(f"http://t/#{c}") for c in "abcdefgh"]
     preds = [Iri(f"http://t/#p{i}") for i in range(3)]
     lits = [Literal(s) for s in ("x", "y", "z")]
     triples = {
         Triple(rng.choice(iris), rng.choice(preds),
                rng.choice(iris + lits))  # type: ignore[arg-type]
-        for _ in range(rng.randrange(0, 50))
+        for _ in range(rng.randrange(80, 200) if extended else rng.randrange(0, 50))
     }
     graph = RdfGraph(triples, base_iri="http://t/")
-    var_names = ["u", "v", "w"][:rng.randrange(1, 4)]
+    var_names = ["u", "v", "w"] if extended else ["u", "v", "w"][:rng.randrange(1, 4)]
+    absent = {"subject": Iri("http://t/#none"), "predicate": Iri("http://t/#p9"),
+              "object": Literal("none")}
 
     def pattern_term(position: str):
         roll = rng.random()
-        if roll < 0.5:
+        if extended and roll < 0.03:
+            return absent[position]
+        if roll < (0.7 if extended else 0.5) and not (extended and position == "predicate"):
             return Variable(rng.choice(var_names))
+        if extended and position == "subject" and roll < 0.85:
+            return FragmentRef(rng.choice("abcdefgh"))
         if position == "object" and roll < 0.6:
             return rng.choice(lits)
         return rng.choice(iris if position != "predicate" else preds)
 
     patterns = tuple(TriplePattern(pattern_term("subject"), pattern_term("predicate"),
                                    pattern_term("object"))
-                     for _ in range(rng.randrange(1, 4)))
+                     for _ in range(4 if extended else rng.randrange(1, 4)))
     return graph, patterns
 
 
@@ -270,6 +280,8 @@ def _oracle_rows(graph: RdfGraph, patterns) -> set:
         assignment = dict(zip(variables, combo))
 
         def subst(term):
+            if isinstance(term, FragmentRef):
+                return Iri(graph.base_iri + "#" + term.name)
             return assignment[term.name] if isinstance(term, Variable) else term
 
         ok = all(
@@ -285,16 +297,55 @@ def _oracle_rows(graph: RdfGraph, patterns) -> set:
     return solutions
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(120))
 def test_bgp_join_matches_brute_force_oracle(seed):
-    rng = random.Random(seed)
-    graph, patterns = _random_instance(rng)
+    graph, patterns = _random_instance(random.Random(seed), extended=seed >= 60)
     expected = _oracle_rows(graph, patterns)
-    # the patterns as written, then in a shuffled order
-    for order in (patterns, tuple(rng.sample(patterns, len(patterns)))):
+    select = tuple(sorted({t.name for p in patterns for t in (p.subject, p.predicate, p.object)
+                           if isinstance(t, Variable)}))
+    order_by = ((select[-1], "desc"),) if select else ()
+    tables = []
+    for order in itertools.permutations(patterns):
         rows = [tuple(sorted(r.items())) for r in eval_bgp(graph, order).rows]
         assert len(set(rows)) == len(rows)
         assert set(rows) == expected
+        tables.append(eval_select(graph, SparqlQuery(select, order, order_by)))
+    assert all(table == tables[0] for table in tables)
+
+
+def _foaf_graph(persons: int, degree: int, seed: int) -> RdfGraph:
+    """Typed, named persons who each know `degree` others."""
+    rng = random.Random(seed)
+    people = [Iri(f"http://people/#p{i}") for i in range(persons)]
+    triples = set()
+    for i, person in enumerate(people):
+        triples |= {Triple(person, Iri(RDF_TYPE), Iri(FOAF + "Person")),
+                    Triple(person, Iri(FOAF + "name"), Literal(f"n{i}"))}
+        triples |= {Triple(person, Iri(FOAF + "knows"), friend)
+                    for friend in rng.sample(people[:i] + people[i + 1:], degree)}
+    return RdfGraph(triples, base_iri="http://people/")
+
+
+def test_every_written_order_makes_the_lookups_of_the_best_one(monkeypatch):
+    degree = 4
+    graph = _foaf_graph(300, degree, seed=3)
+    friends_of_friends = (
+        TriplePattern(Variable("a"), Iri(FOAF + "name"), Literal("n0")),
+        TriplePattern(Variable("a"), Iri(FOAF + "knows"), Variable("b")),
+        TriplePattern(Variable("b"), Iri(FOAF + "knows"), Variable("c")),
+    )
+    calls = []
+    match = RdfGraph.match
+    monkeypatch.setattr(RdfGraph, "match",
+                        lambda self, *terms: calls.append(terms) or match(self, *terms))
+    counts, answers = [], []
+    for order in itertools.permutations(friends_of_friends):
+        calls.clear()
+        answers.append({tuple(sorted(r.items())) for r in eval_bgp(graph, order).rows})
+        counts.append(len(calls))
+    # the best order: the named person, their friends, then one lookup per friend
+    assert counts == [2 + degree] * 6
+    assert len(answers[0]) > degree and all(rows == answers[0] for rows in answers)
 
 
 @pytest.mark.parametrize("seed", range(60))
