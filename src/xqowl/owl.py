@@ -2,9 +2,10 @@
 
 Class and role expressions, TBox axioms and ABox assertions are frozen
 dataclasses.  :func:`load_ontology` reads them out of an :class:`RdfGraph`
-that uses the OWL RDF/XML vocabulary subset; :func:`axioms_to_xml` renders
-them back as entity-grouped RDF/XML, and :func:`entities_to_xml` renders
-a list of IRIs as one item element per IRI.
+that uses the OWL RDF/XML vocabulary subset, and :func:`axioms_to_xml`
+writes them back as entity-grouped RDF/XML, both by one table of the axiom
+kinds, _AXIOM_ROWS; :func:`entities_to_xml` renders a list of IRIs as one
+item element per IRI.
 
 Three role characteristics are stored through fixed encodings rather than
 dedicated axiom kinds:
@@ -20,17 +21,21 @@ renderer recognizes them and emits the markers again.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import re
+from collections import defaultdict, namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .errors import RdfParseError, UnsupportedFeatureError
 from .rdf import RDF_NS, RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL, XSD_NS, \
     Iri, Literal, Term, RdfGraph, term_key
-from .xmltree import XML_NS, QName, XmlNode, element, sub_element, text
+from .xmltree import _NCNAME_RE, XML_NS, QName, XmlNode, element, sub_element, text
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
+
+_PREFIXES = {RDF_NS: "rdf", RDFS_NS: "rdfs", OWL_NS: "owl", XML_NS: "xml"}
 
 THING_IRI = OWL_NS + "Thing"
 NOTHING_IRI = OWL_NS + "Nothing"
@@ -74,12 +79,6 @@ class ExistsSelf:
 
 
 @dataclass(frozen=True)
-class Forall:
-    role: "RoleExpr"
-    filler: "ClassExpr"
-
-
-@dataclass(frozen=True)
 class MaxCard:
     n: int
     role: "RoleExpr"
@@ -90,7 +89,7 @@ class MaxCard:
             raise ValueError("cardinality bound must be non-negative")
 
 
-ClassExpr = Thing | Nothing | Named | And | Exists | ExistsSelf | Forall | MaxCard
+ClassExpr = Thing | Nothing | Named | And | Exists | ExistsSelf | MaxCard
 
 
 @dataclass(frozen=True)
@@ -219,6 +218,43 @@ _ROLE_MARKERS = (("SymmetricProperty", symmetric_axiom),
                  ("IrreflexiveProperty", irreflexive_axiom),
                  ("FunctionalProperty", functional_axiom))
 
+# One row per axiom kind: its type, its predicate's (namespace, local), the
+# entity kind it is written under and its rank there (role markers rank 0),
+# how its subject and its object are read and written (a "class" expression,
+# a named "role", a plain "iri", a two-link "chain" or a "datatype" IRI), and
+# whether both sides are its subjects.  Rows are in loading order; a property
+# declared both ways takes the data row of rdfs:domain or rdfs:range.
+_Row = namedtuple("_Row", "axiom name entity rank subject object symmetric",
+                  defaults=(False,))
+_AXIOM_ROWS = (
+    _Row(SubClassOf, (RDFS_NS, "subClassOf"), "class", 0, "class", "class"),
+    _Row(EquivalentClasses, (OWL_NS, "equivalentClass"), "class", 1, "class", "class", True),
+    _Row(DisjointClasses, (OWL_NS, "disjointWith"), "class", 2, "class", "class", True),
+    _Row(SubRoleOf, (RDFS_NS, "subPropertyOf"), "object", 1, "role", "role"),
+    _Row(DataDomain, (RDFS_NS, "domain"), "data", 0, "iri", "class"),
+    _Row(Domain, (RDFS_NS, "domain"), "object", 5, "role", "class"),
+    _Row(DataRange, (RDFS_NS, "range"), "data", 1, "iri", "datatype"),
+    _Row(Range, (RDFS_NS, "range"), "object", 6, "role", "class"),
+    _Row(InverseRoles, (OWL_NS, "inverseOf"), "object", 2, "iri", "iri", True),
+    _Row(DisjointRoles, (OWL_NS, "propertyDisjointWith"), "object", 3, "iri", "iri", True),
+    _Row(RoleChain, (OWL_NS, "propertyChainAxiom"), "object", 4, "role", "chain"),
+)
+_ROW_OF = {row.axiom: row for row in _AXIOM_ROWS}
+
+
+def _sides(axiom: Axiom) -> tuple:
+    """(subject, object); a chain's subject is its implied role, its object the links."""
+    if isinstance(axiom, RoleChain):
+        return axiom.implied, (axiom.first, axiom.second)
+    return tuple(vars(axiom).values())
+
+
+def _entity_iri(side) -> str | None:
+    """The IRI of an axiom side that names an entity."""
+    if isinstance(side, str):
+        return side
+    return side.iri if isinstance(side, (Named, Role)) else None
+
 
 def named_classes_in(expr: ClassExpr) -> set[str]:
     """All class IRIs mentioned inside an expression (Thing/Nothing excluded)."""
@@ -229,7 +265,7 @@ def named_classes_in(expr: ClassExpr) -> set[str]:
         for part in expr.parts:
             out |= named_classes_in(part)
         return out
-    if isinstance(expr, (Exists, Forall, MaxCard)):
+    if isinstance(expr, (Exists, MaxCard)):
         return named_classes_in(expr.filler)
     return set()
 
@@ -241,7 +277,7 @@ def roles_in(expr: ClassExpr) -> set[str]:
         for part in expr.parts:
             out |= roles_in(part)
         return out
-    if isinstance(expr, (Exists, Forall, MaxCard)):
+    if isinstance(expr, (Exists, MaxCard)):
         return {expr.role.iri} | roles_in(expr.filler)
     if isinstance(expr, ExistsSelf):
         return {expr.role.iri}
@@ -262,8 +298,8 @@ class Ontology:
         """Declared classes plus every class IRI used in an axiom or assertion."""
         out = set(self.classes)
         for axiom in self.tbox:
-            for expr in _class_exprs_of(axiom):
-                out |= named_classes_in(expr)
+            for side in vars(axiom).values():  # role and IRI fields name no class
+                out |= named_classes_in(side)
         for assertion in self.abox:
             if isinstance(assertion, ClassAssertion):
                 out |= named_classes_in(assertion.cls)
@@ -282,27 +318,17 @@ class Ontology:
         return frozenset(out)
 
 
-def _class_exprs_of(axiom: Axiom) -> tuple[ClassExpr, ...]:
-    if isinstance(axiom, SubClassOf):
-        return (axiom.sub, axiom.sup)
-    if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
-        return (axiom.left, axiom.right)
-    if isinstance(axiom, (Domain, Range, DataDomain)):
-        return (axiom.cls,)
-    return ()
-
-
 # -- loading from an RDF graph ----------------------------------------------------
 
-_CLASS_KINDS = {"Class", "Restriction", "Thing", "Nothing"}
-_MARKER_KINDS = {kind for kind, _ in _ROLE_MARKERS}
-_DECL_KINDS = {"ObjectProperty", "DatatypeProperty", "NamedIndividual", "Ontology"}
-_OWL_PREDICATES = {
-    "equivalentClass", "disjointWith", "inverseOf", "propertyChainAxiom",
-    "propertyDisjointWith", "intersectionOf", "someValuesFrom", "hasSelf",
-    "onProperty", "onClass", "maxQualifiedCardinality", "maxCardinality",
-}
-_RDFS_PREDICATES = {"subClassOf", "subPropertyOf", "domain", "range"}
+_TYPES = {OWL_NS + kind for kind in (
+    "Class", "Restriction", "Thing", "Nothing", "ObjectProperty", "DatatypeProperty",
+    "NamedIndividual", "Ontology", *(kind for kind, _ in _ROLE_MARKERS))}
+# each axiom predicate's name, in table order, with its rows
+_ROWS_BY_NAME = {name: [row for row in _AXIOM_ROWS if row.name == name]
+                 for name in dict.fromkeys(row.name for row in _AXIOM_ROWS)}
+_PREDICATES = {RDF_TYPE, RDF_FIRST, RDF_REST, *("".join(name) for name in _ROWS_BY_NAME)} | {
+    OWL_NS + local for local in ("intersectionOf", "someValuesFrom", "hasSelf", "onProperty",
+                                 "onClass", "maxQualifiedCardinality", "maxCardinality")}
 
 
 class _OntologyLoader:
@@ -322,37 +348,21 @@ class _OntologyLoader:
 
     def check_vocabulary(self) -> None:
         # in term order, so the construct reported does not depend on hashing
-        for predicate in sorted({t.predicate.value for t in self.graph}):
-            self._check_predicate(predicate)
-        for kind in sorted({t.object.value for t in self.graph
-                            if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri)}):
-            self._check_type_object(kind)
-
-    def _check_predicate(self, iri: str) -> None:
-        if iri.startswith(OWL_NS):
-            local = iri[len(OWL_NS):]
-            if local == "allValuesFrom":
+        for iri in sorted({t.predicate.value for t in self.graph}):
+            if iri == OWL_NS + "allValuesFrom":
                 raise UnsupportedFeatureError(
                     "owl:allValuesFrom (universal restrictions) is not supported; "
                     "express the constraint with rdfs:domain/rdfs:range")
-            if local not in _OWL_PREDICATES:
-                raise UnsupportedFeatureError(f"owl:{local} is not supported")
-        elif iri.startswith(RDFS_NS):
-            local = iri[len(RDFS_NS):]
-            if local not in _RDFS_PREDICATES:
-                raise UnsupportedFeatureError(f"rdfs:{local} is not supported")
-        elif iri.startswith(RDF_NS):
-            local = iri[len(RDF_NS):]
-            if local not in {"type", "first", "rest"}:
-                raise UnsupportedFeatureError(f"rdf:{local} is not supported")
-
-    def _check_type_object(self, iri: str) -> None:
-        if iri.startswith(OWL_NS):
-            local = iri[len(OWL_NS):]
-            if local not in _CLASS_KINDS | _MARKER_KINDS | _DECL_KINDS:
-                raise UnsupportedFeatureError(f"owl:{local} is not supported")
-        elif iri.startswith(RDFS_NS) or iri == RDF_NIL:
-            raise UnsupportedFeatureError(f"rdf:type {iri} is not supported")
+            for namespace in (OWL_NS, RDFS_NS, RDF_NS):
+                if iri.startswith(namespace) and iri not in _PREDICATES:
+                    raise UnsupportedFeatureError(
+                        f"{_PREFIXES[namespace]}:{iri[len(namespace):]} is not supported")
+        for iri in sorted({t.object.value for t in self.graph
+                           if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri)}):
+            if iri.startswith(OWL_NS) and iri not in _TYPES:
+                raise UnsupportedFeatureError(f"owl:{iri[len(OWL_NS):]} is not supported")
+            if iri.startswith(RDFS_NS) or iri == RDF_NIL:
+                raise UnsupportedFeatureError(f"rdf:type {iri} is not supported")
 
     def objects(self, subject: str, predicate: str) -> list[Term]:
         return self.graph.objects(Iri(subject), Iri(predicate))
@@ -428,48 +438,43 @@ class _OntologyLoader:
             raise RdfParseError("cardinality bound must be a non-negative integer")
         return int(term.lexical)
 
-    def load_tbox(self) -> list[Axiom]:
-        axioms: list[Axiom] = []
-        for s, o in self.pairs(RDFS_NS + "subClassOf"):
-            axioms.append(SubClassOf(self.class_expr(s), self.class_expr(o)))
-        for s, o in self.pairs(OWL_NS + "equivalentClass"):
-            axioms.append(EquivalentClasses(self.class_expr(s), self.class_expr(o)))
-        for s, o in self.pairs(OWL_NS + "disjointWith"):
-            axioms.append(DisjointClasses(self.class_expr(s), self.class_expr(o)))
-        for s, o in self.pairs(RDFS_NS + "subPropertyOf"):
-            if s.value in self.data_properties:
-                raise UnsupportedFeatureError(
-                    "rdfs:subPropertyOf between datatype properties is not supported")
-            axioms.append(SubRoleOf(Role(s.value), self.role(o, "rdfs:subPropertyOf")))
-        for s, o in self.pairs(RDFS_NS + "domain"):
-            if s.value in self.data_properties:
-                axioms.append(DataDomain(s.value, self.class_expr(o)))
-            elif s.value in self.object_properties:
-                axioms.append(Domain(Role(s.value), self.class_expr(o)))
-            else:
-                raise RdfParseError(f"rdfs:domain on undeclared property {s.value}")
-        for s, o in self.pairs(RDFS_NS + "range"):
-            if s.value in self.data_properties:
-                if not isinstance(o, Iri):
-                    raise RdfParseError("a datatype property range must be an IRI")
-                axioms.append(DataRange(s.value, o.value))
-            elif s.value in self.object_properties:
-                axioms.append(Range(Role(s.value), self.class_expr(o)))
-            else:
-                raise RdfParseError(f"rdfs:range on undeclared property {s.value}")
-        for s, o in self.pairs(OWL_NS + "inverseOf"):
-            axioms.append(InverseRoles(s.value, self.role(o, "owl:inverseOf").iri))
-        for s, o in self.pairs(OWL_NS + "propertyDisjointWith"):
-            axioms.append(DisjointRoles(s.value,
-                                        self.role(o, "owl:propertyDisjointWith").iri))
-        for s, o in self.pairs(OWL_NS + "propertyChainAxiom"):
-            links = self.read_list(o)
+    def read(self, way: str, term: Term, name: str):
+        """One side of an axiom whose predicate is name, read from its term."""
+        if way == "class":
+            return self.class_expr(term)
+        if way == "chain":
+            links = self.read_list(term)
             if len(links) != 2:
                 raise UnsupportedFeatureError(
                     "only property chains of exactly two links are supported")
-            axioms.append(RoleChain(self.role(links[0], "a chain link"),
-                                    self.role(links[1], "a chain link"),
-                                    Role(s.value)))
+            return tuple(self.role(link, "a chain link") for link in links)
+        if isinstance(term, Iri):
+            return Role(term.value) if way == "role" else term.value
+        if way == "datatype":
+            raise RdfParseError("a datatype property range must be an IRI")
+        raise RdfParseError(f"{name} must name a property")
+
+    def row_for(self, rows: list[_Row], name: str, subject: str) -> _Row:
+        """The row of a triple whose predicate is name; rdfs:domain and
+        rdfs:range have one per property kind, taken by how subject is declared."""
+        for row in rows:
+            declared = self.data_properties if row.entity == "data" else self.object_properties
+            if len(rows) == 1 or subject in declared:
+                if row.subject == "role" and subject in self.data_properties:
+                    raise UnsupportedFeatureError(
+                        f"{name} between datatype properties is not supported")
+                return row
+        raise RdfParseError(f"{name} on undeclared property {subject}")
+
+    def load_tbox(self) -> list[Axiom]:
+        axioms: list[Axiom] = []
+        for (namespace, local), rows in _ROWS_BY_NAME.items():
+            name = f"{_PREFIXES[namespace]}:{local}"
+            for s, o in self.pairs(namespace + local):
+                row = self.row_for(rows, name, s.value)
+                subject, obj = self.read(row.subject, s, name), self.read(row.object, o, name)
+                axioms.append(RoleChain(*obj, subject) if row.axiom is RoleChain
+                              else row.axiom(subject, obj))
         for kind, encode in _ROLE_MARKERS:
             for subject in self.graph.subjects(Iri(RDF_TYPE), Iri(OWL_NS + kind)):
                 if subject.value in self.data_properties:
@@ -534,9 +539,9 @@ class _Unrenderable(Exception):
     """Axiom shape the entity-grouped renderer cannot express."""
 
 
-_PREFIXES = {RDF_NS: "rdf", RDFS_NS: "rdfs", OWL_NS: "owl", XML_NS: "xml"}
 _ABOUT, _RESOURCE, _DATATYPE = (RDF_NS, "about"), (RDF_NS, "resource"), (RDF_NS, "datatype")
 _COLLECTION = (((RDF_NS, "parseType"), "Collection"),)
+_NAME_TAIL_RE = re.compile(_NCNAME_RE.pattern.removeprefix("^"))  # a trailing XML name
 
 
 def _describe(name: tuple[str, str], attrs=(), parts: tuple = ()) -> tuple:
@@ -549,22 +554,6 @@ def _describe(name: tuple[str, str], attrs=(), parts: tuple = ()) -> tuple:
 def _text(value: str) -> tuple:
     # equal stripped texts keep the order of their raw values
     return ("text", value.strip(), value)
-
-
-# axiom type -> (kind of the entity it renders under, rank among its children, name)
-_PLACES = {
-    SubClassOf: ("class", 0, (RDFS_NS, "subClassOf")),
-    EquivalentClasses: ("class", 1, (OWL_NS, "equivalentClass")),
-    DisjointClasses: ("class", 2, (OWL_NS, "disjointWith")),
-    SubRoleOf: ("object", 1, (RDFS_NS, "subPropertyOf")),
-    InverseRoles: ("object", 2, (OWL_NS, "inverseOf")),
-    DisjointRoles: ("object", 3, (OWL_NS, "propertyDisjointWith")),
-    RoleChain: ("object", 4, (OWL_NS, "propertyChainAxiom")),
-    Domain: ("object", 5, (RDFS_NS, "domain")),
-    Range: ("object", 6, (RDFS_NS, "range")),
-    DataDomain: ("data", 0, (RDFS_NS, "domain")),
-    DataRange: ("data", 1, (RDFS_NS, "range")),
-}
 
 
 def _marker_of(axiom: Axiom) -> tuple[str, str] | None:
@@ -588,17 +577,12 @@ def _named_role(role: RoleExpr) -> str:
     return role.iri
 
 
-def _named_class(expr: ClassExpr) -> str:
-    if not isinstance(expr, Named):
-        raise _Unrenderable
-    return expr.iri
-
-
 class _Renderer:
     def __init__(self):
         # (entity kind, iri) -> list of (rank, description)
         self.children: dict[tuple[str, str], list[tuple]] = defaultdict(list)
         self.mentioned: dict[str, set[str]] = defaultdict(set)  # kind -> iris
+        self.gcis: list[tuple] = []  # descriptions of class axioms with no named subject
         self.foreign_prefixes: dict[str, str] = {}
         # (namespace, local) -> QName, with the prefix hint it is written under
         self.names: dict[tuple[str, str], QName] = {}
@@ -631,16 +615,14 @@ class _Renderer:
                              (_text("true"),))
             return _describe((OWL_NS, "Restriction"),
                              parts=(self.on_property(expr.role), true))
-        if isinstance(expr, MaxCard):
-            qualified = not isinstance(expr.filler, Thing)
-            constraint = (_describe(
-                (OWL_NS, "maxQualifiedCardinality" if qualified else "maxCardinality"),
-                [(_DATATYPE, XSD_NS + "nonNegativeInteger")], (_text(str(expr.n)),)),)
-            if qualified:
-                constraint += (self.class_ref((OWL_NS, "onClass"), expr.filler),)
-            return _describe((OWL_NS, "Restriction"),
-                             parts=(self.on_property(expr.role),) + constraint)
-        raise _Unrenderable  # Forall has no rendering in the subset
+        qualified = not isinstance(expr.filler, Thing)  # a MaxCard
+        constraint = (_describe(
+            (OWL_NS, "maxQualifiedCardinality" if qualified else "maxCardinality"),
+            [(_DATATYPE, XSD_NS + "nonNegativeInteger")], (_text(str(expr.n)),)),)
+        if qualified:
+            constraint += (self.class_ref((OWL_NS, "onClass"), expr.filler),)
+        return _describe((OWL_NS, "Restriction"),
+                         parts=(self.on_property(expr.role),) + constraint)
 
     def on_property(self, role: RoleExpr) -> tuple:
         return self.role_ref((OWL_NS, "onProperty"), _named_role(role))
@@ -656,44 +638,43 @@ class _Renderer:
             self.child("object", role_iri, 0,
                        _describe((RDF_NS, "type"), [(_RESOURCE, OWL_NS + kind)]))
             return
-        kind, rank, name = _PLACES[type(axiom)]
-        if isinstance(axiom, SubClassOf):
-            anchor, content = _named_class(axiom.sub), self.class_ref(name, axiom.sup)
-        elif isinstance(axiom, (EquivalentClasses, DisjointClasses)):
-            anchor, content = _named_class(axiom.left), self.class_ref(name, axiom.right)
-        elif isinstance(axiom, SubRoleOf):
-            anchor = _named_role(axiom.sub)
-            content = self.role_ref(name, _named_role(axiom.sup))
-        elif isinstance(axiom, (InverseRoles, DisjointRoles)):
-            anchor, content = axiom.left, self.role_ref(name, axiom.right)
-        elif isinstance(axiom, RoleChain):
-            links = [_named_role(axiom.first), _named_role(axiom.second)]
+        row = _ROW_OF[type(axiom)]
+        subject, obj = _sides(axiom)
+        anchor = _entity_iri(subject)
+        if anchor is None and row.subject != "class":
+            raise _Unrenderable  # a property axiom over an inverse role
+        content = self.write(row.object, row.name, obj)
+        if anchor is not None:
+            self.child(row.entity, anchor, row.rank, content)
+        else:  # a general class inclusion: the subject's own node carries it
+            self.mentioned["class"] |= named_classes_in(subject)
+            namespace, local, attrs, parts = self.class_node(subject)
+            self.gcis.append((namespace, local, attrs, parts + (content,)))
+
+    def write(self, way: str, name: tuple[str, str], side) -> tuple:
+        """The property child that writes one side of an axiom."""
+        if way == "class":
+            return self.class_ref(name, side)
+        if way == "datatype":
+            return _describe(name, [(_RESOURCE, side)])
+        if way == "chain":
+            links = [_named_role(link) for link in side]
             self.mentioned["object"] |= set(links)
-            anchor = _named_role(axiom.implied)
-            content = _describe(name, _COLLECTION, tuple(
+            return _describe(name, _COLLECTION, tuple(
                 _describe((OWL_NS, "ObjectProperty"), [(_ABOUT, link)]) for link in links))
-        elif isinstance(axiom, (Domain, Range)):
-            anchor, content = _named_role(axiom.role), self.class_ref(name, axiom.cls)
-        elif isinstance(axiom, DataDomain):
-            anchor, content = axiom.prop, self.class_ref(name, axiom.cls)
-        else:
-            anchor, content = axiom.prop, _describe(name, [(_RESOURCE, axiom.datatype)])
-        self.child(kind, anchor, rank, content)
+        return self.role_ref(name, _named_role(side) if way == "role" else side)
 
     def property_name(self, iri: str) -> tuple[str, str]:
-        """(namespace, local) split at the IRI's last '#', '/' or ':'."""
-        cut = max(iri.rfind("#"), iri.rfind("/"), iri.rfind(":"))
-        name = iri[:cut + 1], iri[cut + 1:]
-        try:
-            if cut < 0:
-                raise ValueError
-            prefix = self.foreign_prefixes.setdefault(
-                name[0], f"ns{len(self.foreign_prefixes) + 1}")
-            self.names[name] = QName(*name, prefix)
-        except ValueError:
+        """(namespace, local) split before the IRI's longest XML-name tail."""
+        tail = _NAME_TAIL_RE.search(iri)
+        if tail is None or tail.start() == 0:
             raise UnsupportedFeatureError(
                 f"cannot render property {iri} as an RDF/XML element: it does "
-                f"not end in an XML name after a '#', '/' or ':'") from None
+                f"not end in an XML name after a non-empty namespace")
+        name = iri[:tail.start()], iri[tail.start():]
+        prefix = self.foreign_prefixes.setdefault(
+            name[0], f"ns{len(self.foreign_prefixes) + 1}")
+        self.names[name] = QName(*name, prefix)
         return name
 
     def add_assertion(self, assertion: Assertion) -> None:
@@ -706,7 +687,6 @@ class _Renderer:
             self.child("individual", assertion.subject, 1, _describe(
                 self.property_name(assertion.role), [(_RESOURCE, assertion.object)]))
         else:
-            self.mentioned["individual"].add(assertion.subject)
             value = assertion.value
             attrs = [(_DATATYPE, value.datatype), ((XML_NS, "lang"), value.language)]
             self.child("individual", assertion.subject, 2, _describe(
@@ -740,34 +720,30 @@ class _Renderer:
 
 
 def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
-    """Render axioms as entity-grouped RDF/XML.
+    """Render axioms as entity-grouped RDF/XML, each by its table row.
 
-    With a subject IRI, only axioms anchored on that entity are rendered,
-    plus bare declarations for every entity those axioms reference.  Axiom
-    shapes the grouping cannot express (anonymous anchors, Forall) are
-    skipped; the output covers exactly the renderable subset. A role or
-    data assertion whose property IRI does not end in an XML name raises
+    A class axiom whose subject is not a class name (a general class
+    inclusion, or owl:Thing) is a child of its subject's own node, after
+    the entities.  With a subject IRI, only axioms axiom_subjects gives that
+    entity and assertions about it are rendered, plus bare declarations for
+    every entity they reference.  Shapes over an inverse role, which the
+    loader never builds, are skipped.  A role or data assertion whose
+    property IRI has no XML-name tail after a namespace raises
     UnsupportedFeatureError, as RDF/XML has no element name for it.
 
-    Entities come by kind, then IRI; an entity's children by their rank in
-    _PLACES (for an individual: rdf:type, role, then data assertions), then
-    as canonical_key orders them, equal stripped texts by their raw texts.
+    Entities come by kind, then IRI; children by rank (for an individual:
+    rdf:type, role, then data assertions), then as canonical_key orders
+    them, equal stripped texts by raw texts; general inclusions likewise.
     """
     renderer = _Renderer()
     for axiom in ont.tbox:
-        if subject is not None and subject not in axiom_subjects(axiom):
-            continue
-        try:
-            renderer.add_axiom(axiom)
-        except _Unrenderable:
-            pass
+        if subject is None or subject in axiom_subjects(axiom):
+            with suppress(_Unrenderable):
+                renderer.add_axiom(axiom)
     for assertion in sorted(ont.abox, key=_assertion_key):
-        if subject is not None and subject != assertion_subject(assertion):
-            continue
-        try:
-            renderer.add_assertion(assertion)
-        except _Unrenderable:
-            pass
+        if subject is None or subject == assertion_subject(assertion):
+            with suppress(_Unrenderable):
+                renderer.add_assertion(assertion)
     doc = XmlNode("document")
     root = renderer.build(doc, _describe((RDF_NS, "RDF")))
     if subject is None and ont.iri:
@@ -778,6 +754,8 @@ def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
                                 ("Class", "ObjectProperty", "DatatypeProperty",
                                  "NamedIndividual"), declared):
         renderer.entity_elements(root, kind, tag, names)
+    for description in sorted(renderer.gcis):
+        renderer.build(root, description)
     return doc
 
 
@@ -786,20 +764,8 @@ def axiom_subjects(axiom: Axiom) -> tuple[str, ...]:
     marker = _marker_of(axiom)
     if marker is not None:
         return (marker[0],)
-    if isinstance(axiom, SubClassOf):
-        return (axiom.sub.iri,) if isinstance(axiom.sub, Named) else ()
-    if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
-        return tuple(side.iri for side in (axiom.left, axiom.right)
-                     if isinstance(side, Named))
-    if isinstance(axiom, SubRoleOf):
-        return (axiom.sub.iri,) if isinstance(axiom.sub, Role) else ()
-    if isinstance(axiom, RoleChain):
-        return (axiom.implied.iri,) if isinstance(axiom.implied, Role) else ()
-    if isinstance(axiom, (InverseRoles, DisjointRoles)):
-        return (axiom.left, axiom.right)
-    if isinstance(axiom, (Domain, Range)):
-        return (axiom.role.iri,) if isinstance(axiom.role, Role) else ()
-    return (axiom.prop,)
+    sides = _sides(axiom)[:2 if _ROW_OF[type(axiom)].symmetric else 1]
+    return tuple(iri for iri in map(_entity_iri, sides) if iri is not None)
 
 
 def assertion_subject(assertion: Assertion) -> str:

@@ -33,8 +33,8 @@ from functools import cached_property
 from .errors import InconsistentOntologyError, UnsupportedFeatureError
 from .owl import (
     And, ClassAssertion, ClassExpr, DataDomain, DataRange, DisjointClasses,
-    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Forall,
-    Inverse, InverseRoles, MaxCard, Named, Nothing, NOTHING_IRI, Ontology,
+    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Inverse,
+    InverseRoles, MaxCard, Named, Nothing, NOTHING_IRI, Ontology,
     Range, Role, RoleAssertion, RoleChain, RoleExpr, SubClassOf, SubRoleOf,
     THING_IRI, Thing,
 )
@@ -73,11 +73,10 @@ class _Facts:
             return all(self.check(individual, p) for p in expr.parts)
         if isinstance(expr, ExistsSelf):
             return (individual, expr.role.iri, individual) in self.role_facts
-        if isinstance(expr, (Exists, Forall)):
+        if isinstance(expr, Exists):
             successors = self.neighbours(individual, expr.role.iri,
                                          isinstance(expr.role, Inverse))
-            test = any if isinstance(expr, Exists) else all
-            return test(self.check(b, expr.filler) for b in successors)
+            return any(self.check(b, expr.filler) for b in successors)
         if not isinstance(expr.role, Role):
             raise UnsupportedFeatureError(
                 "cardinality over an inverse role is not supported")
@@ -106,9 +105,8 @@ def display_class(expr: ClassExpr) -> str:
         return "(" + " and ".join(display_class(p) for p in expr.parts) + ")"
     if isinstance(expr, ExistsSelf):
         return f"({display_role(expr.role)} some Self)"
-    if isinstance(expr, (Exists, Forall)):
-        word = "some" if isinstance(expr, Exists) else "only"
-        return f"({display_role(expr.role)} {word} {display_class(expr.filler)})"
+    if isinstance(expr, Exists):
+        return f"({display_role(expr.role)} some {display_class(expr.filler)})"
     return f"(max {expr.n} {display_role(expr.role)} {display_class(expr.filler)})"
 
 
@@ -119,7 +117,7 @@ def display_role(role: RoleExpr) -> str:
 def _mentions(expr: ClassExpr, kind: type) -> bool:
     if isinstance(expr, And):
         return any(_mentions(p, kind) for p in expr.parts)
-    return isinstance(expr, kind) or isinstance(expr, (Exists, Forall, MaxCard)) \
+    return isinstance(expr, kind) or isinstance(expr, (Exists, MaxCard)) \
         and _mentions(expr.filler, kind)
 
 
@@ -194,9 +192,6 @@ class _Rules:
             raise UnsupportedFeatureError(f"axiom {axiom!r} is not supported")
 
     def _class_rule(self, lhs: ClassExpr, rhs: ClassExpr) -> None:
-        if _mentions(lhs, Forall) or _mentions(rhs, Forall):
-            raise UnsupportedFeatureError(
-                "universal restrictions in class axioms are not supported")
         self._triggers(len(self.class_rules), lhs, ())
         self.class_rules.append((lhs, rhs))
 
@@ -292,8 +287,6 @@ class _Engine(_Facts):
         elif isinstance(expr, MaxCard):
             iri = _named_role_iri(expr.role, "a cardinality restriction")
             self.dynamic_limits.add((individual, expr.n, iri, expr.filler))
-        elif not isinstance(expr, Thing):
-            raise UnsupportedFeatureError("universal restrictions cannot be asserted")
 
     def _type(self, individual: str, prop: str, side: str) -> None:
         for cls in self.rules.typing.get((prop, side), ()):

@@ -12,9 +12,10 @@ import random
 from dataclasses import replace
 
 from conftest import FIXTURES, fixture_text
+from corpus import random_ontology
 from test_reasoner import (
     check_chain_composition, check_fixpoint, check_monotonicity,
-    check_symmetry_and_inverse, random_ontology,
+    check_symmetry_and_inverse,
 )
 from test_sparql import _oracle_rows, _random_instance
 from xqowl.cli import main as cli_main

@@ -6,15 +6,15 @@ import re
 import pytest
 
 from conftest import FIXTURES, assert_document_order, preorder_ids
-from test_reasoner import random_ontology
+from corpus import generated_ontology, random_ontology, rdfxml_ontology
 
 from xqowl.errors import RdfParseError, UnsupportedFeatureError
 from xqowl.owl import (
     And, ClassAssertion, DataAssertion, DataDomain, DataRange, DisjointClasses,
-    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Forall, Inverse,
-    InverseRoles, MaxCard, Named, Nothing, Ontology, Range, Role, RoleAssertion,
+    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Inverse,
+    InverseRoles, MaxCard, Named, Ontology, Range, Role, RoleAssertion,
     RoleChain, SubClassOf, SubRoleOf, Thing, axioms_to_xml, entities_to_xml,
-    axiom_subjects, functional_axiom, irreflexive_axiom, load_ontology,
+    assertion_subject, axiom_subjects, functional_axiom, irreflexive_axiom, load_ontology,
     named_classes_in, roles_in, symmetric_axiom,
 )
 from xqowl.rdf import XSD_NS, Literal, RdfGraph, parse_rdfxml
@@ -268,6 +268,11 @@ class TestLoadSmallGraphs:
               <rdf:type rdf:resource="http://www.w3.org/2002/07/owl#TransitiveProperty"/>
             </owl:ObjectProperty>""",
          "TransitiveProperty"),
+        ("""<owl:DatatypeProperty rdf:about="#p">
+              <owl:propertyChainAxiom rdf:parseType="Collection">
+                <owl:ObjectProperty rdf:about="#r"/><owl:ObjectProperty rdf:about="#s"/>
+              </owl:propertyChainAxiom></owl:DatatypeProperty>""",
+         "owl:propertyChainAxiom between datatype properties"),
     ])
     def test_unsupported_constructs(self, body, match):
         markup = f"""
@@ -307,6 +312,128 @@ class TestLoadSmallGraphs:
                      xml:base="http://x.org/o">{body}</rdf:RDF>"""
         with pytest.raises(RdfParseError, match=match):
             load_ontology(parse_rdfxml(markup))
+
+
+RDF_NIL = RDF_NS + "nil"
+# one input per raise site of the loader, with the whole message it raises
+LOADER_ERRORS = [
+    ("""<owl:Class rdf:about="#c"><rdfs:subClassOf><owl:Restriction>
+          <owl:onProperty rdf:resource="#r"/><owl:allValuesFrom rdf:resource="#d"/>
+        </owl:Restriction></rdfs:subClassOf></owl:Class>""",
+     UnsupportedFeatureError, "owl:allValuesFrom (universal restrictions) is not "
+     "supported; express the constraint with rdfs:domain/rdfs:range"),
+    ("""<owl:Class rdf:about="#c"><owl:unionOf rdf:parseType="Collection">
+          <owl:Class rdf:about="#a"/><owl:Class rdf:about="#b"/>
+        </owl:unionOf></owl:Class>""",
+     UnsupportedFeatureError, "owl:unionOf is not supported"),
+    ("""<owl:Class rdf:about="#c"><rdfs:label>c</rdfs:label></owl:Class>""",
+     UnsupportedFeatureError, "rdfs:label is not supported"),
+    ("""<rdf:Description rdf:about="#a"><rdf:value>v</rdf:value></rdf:Description>""",
+     UnsupportedFeatureError, "rdf:value is not supported"),
+    ("""<owl:ObjectProperty rdf:about="#r">
+          <rdf:type rdf:resource="http://www.w3.org/2002/07/owl#TransitiveProperty"/>
+        </owl:ObjectProperty>""",
+     UnsupportedFeatureError, "owl:TransitiveProperty is not supported"),
+    ("""<rdf:Description rdf:about="#c">
+          <rdf:type rdf:resource="http://www.w3.org/2000/01/rdf-schema#Class"/>
+        </rdf:Description>""",
+     UnsupportedFeatureError,
+     "rdf:type http://www.w3.org/2000/01/rdf-schema#Class is not supported"),
+    (f"""<rdf:Description rdf:about="#c"><rdf:type rdf:resource="{RDF_NIL}"/>
+        </rdf:Description>""",
+     UnsupportedFeatureError, f"rdf:type {RDF_NIL} is not supported"),
+    ("""<owl:ObjectProperty rdf:about="#t">
+          <owl:propertyChainAxiom>x</owl:propertyChainAxiom></owl:ObjectProperty>""",
+     RdfParseError, "malformed RDF list"),
+    (f"""<owl:ObjectProperty rdf:about="#t"><owl:propertyChainAxiom rdf:resource="#l"/>
+        </owl:ObjectProperty>
+        <rdf:Description rdf:about="#l"><rdf:rest rdf:resource="{RDF_NIL}"/>
+        </rdf:Description>""",
+     RdfParseError, "malformed RDF list cell"),
+    ("""<owl:Class rdf:about="#c"><rdfs:subClassOf><owl:Restriction>
+          <owl:onProperty>r</owl:onProperty><owl:someValuesFrom rdf:resource="#d"/>
+        </owl:Restriction></rdfs:subClassOf></owl:Class>""",
+     RdfParseError, "owl:onProperty must name a property"),
+    ("""<owl:Class rdf:about="#c"><rdfs:subClassOf>v</rdfs:subClassOf></owl:Class>""",
+     RdfParseError, "a literal cannot appear in class position"),
+    ("""<owl:Class rdf:about="#c"><rdfs:subClassOf><owl:Class>
+          <owl:intersectionOf rdf:parseType="Collection"><owl:Class rdf:about="#a"/>
+          </owl:intersectionOf></owl:Class></rdfs:subClassOf></owl:Class>""",
+     RdfParseError, "owl:intersectionOf needs at least two members"),
+    ("""<owl:Class rdf:about="#c"><rdfs:subClassOf><owl:Restriction>
+          <owl:onProperty rdf:resource="#r"/>
+          <owl:maxQualifiedCardinality>1</owl:maxQualifiedCardinality>
+        </owl:Restriction></rdfs:subClassOf></owl:Class>""",
+     RdfParseError, "owl:maxQualifiedCardinality needs owl:onClass"),
+    ("""<owl:Class rdf:about="#c"><rdfs:subClassOf><owl:Restriction>
+          <owl:onProperty rdf:resource="#r"/>
+        </owl:Restriction></rdfs:subClassOf></owl:Class>""",
+     RdfParseError, "restriction without a recognized constraint"),
+    ("""<owl:Class rdf:about="#c"><rdfs:subClassOf><owl:Restriction>
+          <owl:onProperty rdf:resource="#r"/><owl:maxCardinality>-1</owl:maxCardinality>
+        </owl:Restriction></rdfs:subClassOf></owl:Class>""",
+     RdfParseError, "cardinality bound must be a non-negative integer"),
+    ("""<owl:DatatypeProperty rdf:about="#p">
+          <rdfs:subPropertyOf rdf:resource="#q"/></owl:DatatypeProperty>""",
+     UnsupportedFeatureError,
+     "rdfs:subPropertyOf between datatype properties is not supported"),
+    ("""<owl:ObjectProperty rdf:about="#r">
+          <rdfs:subPropertyOf>s</rdfs:subPropertyOf></owl:ObjectProperty>""",
+     RdfParseError, "rdfs:subPropertyOf must name a property"),
+    ("""<rdf:Description rdf:about="#p"><rdfs:domain rdf:resource="#c"/>
+        </rdf:Description>""",
+     RdfParseError, "rdfs:domain on undeclared property http://x.org/o#p"),
+    ("""<owl:DatatypeProperty rdf:about="#p"><rdfs:range>x</rdfs:range>
+        </owl:DatatypeProperty>""",
+     RdfParseError, "a datatype property range must be an IRI"),
+    ("""<rdf:Description rdf:about="#p"><rdfs:range rdf:resource="#c"/>
+        </rdf:Description>""",
+     RdfParseError, "rdfs:range on undeclared property http://x.org/o#p"),
+    ("""<owl:ObjectProperty rdf:about="#r"><owl:inverseOf>s</owl:inverseOf>
+        </owl:ObjectProperty>""",
+     RdfParseError, "owl:inverseOf must name a property"),
+    ("""<owl:ObjectProperty rdf:about="#r">
+          <owl:propertyDisjointWith>s</owl:propertyDisjointWith></owl:ObjectProperty>""",
+     RdfParseError, "owl:propertyDisjointWith must name a property"),
+    ("""<owl:ObjectProperty rdf:about="#t">
+          <owl:propertyChainAxiom rdf:parseType="Collection">
+            <owl:ObjectProperty rdf:about="#r"/><owl:ObjectProperty rdf:about="#s"/>
+            <owl:ObjectProperty rdf:about="#r"/>
+          </owl:propertyChainAxiom></owl:ObjectProperty>""",
+     UnsupportedFeatureError, "only property chains of exactly two links are supported"),
+    (f"""<owl:ObjectProperty rdf:about="#t"><owl:propertyChainAxiom rdf:resource="#l"/>
+        </owl:ObjectProperty>
+        <rdf:Description rdf:about="#l"><rdf:first>r</rdf:first>
+          <rdf:rest rdf:resource="#m"/></rdf:Description>
+        <rdf:Description rdf:about="#m"><rdf:first rdf:resource="#s"/>
+          <rdf:rest rdf:resource="{RDF_NIL}"/></rdf:Description>""",
+     RdfParseError, "a chain link must name a property"),
+    *[(f"""<owl:DatatypeProperty rdf:about="#p">
+          <rdf:type rdf:resource="http://www.w3.org/2002/07/owl#{kind}"/>
+        </owl:DatatypeProperty>""",
+       UnsupportedFeatureError, f"owl:{kind} on a datatype property is not supported")
+      for kind in ("SymmetricProperty", "IrreflexiveProperty", "FunctionalProperty")],
+    ("""<owl:DatatypeProperty rdf:about="#p"/>
+        <owl:NamedIndividual rdf:about="#a"><p rdf:resource="#b"/></owl:NamedIndividual>""",
+     RdfParseError, "datatype property http://x.org/o#p expects a literal value"),
+    ("""<owl:ObjectProperty rdf:about="#p"/>
+        <owl:NamedIndividual rdf:about="#a"><p>v</p></owl:NamedIndividual>""",
+     RdfParseError, "object property http://x.org/o#p expects an IRI value"),
+]
+
+
+class TestLoaderMessages:
+    @pytest.mark.parametrize("body,error,message", LOADER_ERRORS,
+                             ids=[message for _, _, message in LOADER_ERRORS])
+    def test_each_error_is_raised_with_its_whole_message(self, body, error, message):
+        markup = f"""
+            <rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+                     xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+                     xmlns:owl="http://www.w3.org/2002/07/owl#"
+                     xml:base="http://x.org/o">{body}</rdf:RDF>"""
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            load_ontology(parse_rdfxml(markup))
+        assert type(raised.value) is error
 
 
 def papers(local: str) -> str:
@@ -493,71 +620,6 @@ class TestRenderedDocumentOrder:
 
 # -- the renderer's child order and node economy ------------------------------------
 
-FOREIGN = ("http://ex.org/a#", "http://ex.org/b/")
-LEXICALS = ("", " ", "  ", "x", " x", "x ", " x ", "\n", "\tq\n", "10", "2", "a b")
-
-
-def generated_ontology(rng: random.Random) -> Ontology:
-    """Nested intersections and restrictions (self, max-cardinality 0-12,
-    Thing/Nothing fillers), typed and untyped literals with leading,
-    trailing or only whitespace or none at all, over two foreign namespaces."""
-    classes = [rng.choice(FOREIGN) + f"C{k}" for k in range(5)]
-    roles = [rng.choice(FOREIGN) + f"r{k}" for k in range(4)]
-    props = [rng.choice(FOREIGN) + f"d{k}" for k in range(3)]
-    individuals = [rng.choice(FOREIGN) + f"i{k}" for k in range(5)]
-
-    def role():
-        return Inverse(rng.choice(roles)) if rng.random() < 0.05 else Role(rng.choice(roles))
-
-    def expr(depth=0):
-        k = rng.random()
-        if depth > 2 or k < 0.35:
-            return rng.choice((Thing(), Nothing(), *map(Named, classes)))
-        if k < 0.5:
-            return And(tuple(expr(depth + 1) for _ in range(rng.randint(2, 3))))
-        if k < 0.65:
-            return Exists(role(), expr(depth + 1))
-        if k < 0.72:
-            return ExistsSelf(role())
-        if k < 0.95:
-            filler = Thing() if rng.random() < 0.4 else expr(depth + 1)
-            return MaxCard(rng.randint(0, 12), role(), filler)
-        return Forall(role(), expr(depth + 1))
-
-    def anchor():
-        return Named(rng.choice(classes)) if rng.random() < 0.8 else expr()
-
-    makers = (
-        lambda: SubClassOf(anchor(), expr()),
-        lambda: EquivalentClasses(anchor(), expr()),
-        lambda: DisjointClasses(anchor(), expr()),
-        lambda: SubRoleOf(role(), role()),
-        lambda: RoleChain(role(), role(), role()),
-        lambda: InverseRoles(rng.choice(roles), rng.choice(roles)),
-        lambda: DisjointRoles(rng.choice(roles), rng.choice(roles)),
-        lambda: Domain(role(), expr()),
-        lambda: Range(role(), expr()),
-        lambda: DataDomain(rng.choice(props), expr()),
-        lambda: DataRange(rng.choice(props), XSD_NS + rng.choice(("string", "int"))),
-        lambda: symmetric_axiom(rng.choice(roles)),
-        lambda: functional_axiom(rng.choice(roles)),
-        lambda: irreflexive_axiom(rng.choice(roles)),
-        lambda: ClassAssertion(rng.choice(individuals), anchor()),
-        lambda: RoleAssertion(rng.choice(individuals), rng.choice(roles),
-                              rng.choice(individuals)),
-        lambda: DataAssertion(rng.choice(individuals), rng.choice(props), Literal(
-            rng.choice(LEXICALS), rng.choice((None, XSD_NS + "string", XSD_NS + "int")))),
-    )
-    made = [rng.choice(makers)() for _ in range(rng.randint(0, 28))]
-    assertions = (ClassAssertion, RoleAssertion, DataAssertion)
-    some = lambda iris: frozenset(i for i in iris if rng.random() < 0.3)
-    return Ontology(iri=rng.choice(("", "http://ex.org/onto")),
-                    tbox=frozenset(a for a in made if not isinstance(a, assertions)),
-                    abox=frozenset(a for a in made if isinstance(a, assertions)),
-                    classes=some(classes), object_properties=some(roles),
-                    data_properties=some(props), individuals=some(individuals))
-
-
 def entities_of(ont: Ontology) -> list[str]:
     return sorted(ont.named_classes() | ont.object_properties | ont.data_properties
                   | ont.all_individuals()
@@ -581,7 +643,7 @@ def rendering_cases(source: str) -> list[tuple[Ontology, str | None]]:
 
 RENDERING_SOURCES = ["socialnetwork.owl", "ontology_papers.owl", "random", "generated"]
 
-# each entity tag's child names in rank order, written out apart from owl._PLACES
+# each entity tag's child names in rank order, written out apart from owl's table
 CHILD_RANKS = {
     "Class": [(RDFS_NS, "subClassOf"), (OWL_NS, "equivalentClass"), (OWL_NS, "disjointWith")],
     "ObjectProperty": [(RDF_NS, "type"), (RDFS_NS, "subPropertyOf"), (OWL_NS, "inverseOf"),
@@ -606,8 +668,9 @@ class TestRenderedChildOrder:
         for ont, subject in rendering_cases(source):
             root = child_elements(axioms_to_xml(ont, subject=subject))[0]
             for entity in child_elements(root):
-                if entity.name == owlq("Ontology"):
-                    continue
+                if get_attribute(entity, rdfq("about")) is None \
+                        or entity.name == owlq("Ontology"):
+                    continue  # the node of a general class inclusion, or the header
                 keys = [(child_rank(entity, c), canonical_key(c), string_value(c))
                         for c in entity.children]
                 assert keys == sorted(keys), (subject, serialize_xml(entity))
@@ -630,7 +693,19 @@ class TestRenderedChildOrder:
         assert load_ontology(parse_rdfxml(markup)).abox == ont.abox
 
     @pytest.mark.parametrize("subject", [None, "urn:ex:a"])
-    @pytest.mark.parametrize("prop", ["urn:ex:1p", "http://ex.org/p?x=1", "urn"])
+    def test_property_is_split_before_its_xml_name_tail(self, subject):
+        """urn:ex:1p, which the loader reads from xmlns:ex="urn:ex:1" and
+        ex:p, has no XML name after its last ':'."""
+        ont = Ontology(iri="", tbox=frozenset(), abox=frozenset({
+            RoleAssertion("urn:ex:a", "urn:ex:1p", "urn:ex:b"),
+            DataAssertion("urn:ex:a", "urn:ex:1p", Literal("v"))}),
+            individuals=frozenset({"urn:ex:a", "urn:ex:b"}))
+        markup = serialize_xml(axioms_to_xml(ont, subject=subject))
+        assert 'xmlns:ns1="urn:ex:1"' in markup and "<ns1:p " in markup
+        assert load_ontology(parse_rdfxml(markup)).abox == ont.abox
+
+    @pytest.mark.parametrize("subject", [None, "urn:ex:a"])
+    @pytest.mark.parametrize("prop", ["http://ex.org/p?x=1", "urn"])
     def test_assertion_over_a_property_with_no_xml_name_is_reported(self, prop, subject):
         """RDF/XML cannot name the property element, so nothing is dropped
         in silence."""
@@ -647,3 +722,25 @@ class TestRenderedChildOrder:
         ont = random_ontology(random.Random(seed))
         back = load_ontology(parse_rdfxml(serialize_xml(axioms_to_xml(ont))))
         assert (back.tbox, back.abox) == (ont.tbox, ont.abox)
+
+
+def reloaded(ont: Ontology, subject: str | None = None) -> Ontology:
+    return load_ontology(parse_rdfxml(serialize_xml(axioms_to_xml(ont, subject=subject))))
+
+
+class TestLoadRenderLoad:
+    @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl",
+                                        *range(200)])
+    def test_every_loadable_ontology_round_trips(self, source):
+        """Whole, and per entity: an entity's render loads back to the axioms
+        axiom_subjects anchors on it and the assertions about it."""
+        markup = (FIXTURES / source).read_text() if isinstance(source, str) \
+            else rdfxml_ontology(random.Random(source))
+        ont = load_ontology(parse_rdfxml(markup))
+        back = reloaded(ont)
+        assert (back.tbox, back.abox) == (ont.tbox, ont.abox)
+        for entity in entities_of(ont):
+            back = reloaded(ont, entity)
+            assert back.tbox == {a for a in ont.tbox if entity in axiom_subjects(a)}, entity
+            assert back.abox == {a for a in ont.abox
+                                 if assertion_subject(a) == entity}, entity

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import fixture_text, run_cli
+from corpus import CLASS_NAMES, INDIVIDUALS, ex, ont_of, random_ontology
 from xqowl.errors import InconsistentOntologyError, UnsupportedFeatureError
 from xqowl.owl import (
     And, Assertion, ClassAssertion, ClassExpr, DataAssertion, DataDomain,
     DataRange, DisjointClasses, DisjointRoles, Domain, EquivalentClasses,
-    Exists, ExistsSelf, Forall, Inverse, InverseRoles, MaxCard, Named, Nothing,
+    Exists, ExistsSelf, Inverse, InverseRoles, MaxCard, Named, Nothing,
     NOTHING_IRI, Ontology, Range, Role, RoleAssertion, RoleChain, RoleExpr,
     SubClassOf, SubRoleOf, Thing, functional_axiom, irreflexive_axiom,
     load_ontology, symmetric_axiom,
@@ -30,14 +31,6 @@ SN = "http://www.semanticweb.org/socialnetwork.owl#"
 
 def sn(name: str) -> str:
     return SN + name
-
-
-def ex(name: str) -> str:
-    return "urn:ex:" + name
-
-
-def ont_of(tbox=(), abox=()) -> Ontology:
-    return Ontology(iri="", tbox=frozenset(tbox), abox=frozenset(abox))
 
 
 def role_pairs(sat, role: str) -> set[tuple[str, str]]:
@@ -526,12 +519,6 @@ class TestReasonerFacade:
 
 
 class TestUnsupported:
-    def test_universal_restrictions_are_rejected(self):
-        ont = ont_of(tbox={SubClassOf(Named(ex("A")),
-                                      Forall(Role(ex("p")), Named(ex("B"))))})
-        with pytest.raises(UnsupportedFeatureError):
-            saturate(ont)
-
     def test_inverse_links_in_chains_are_rejected(self):
         ont = ont_of(tbox={RoleChain(Role(ex("p")), Inverse(ex("q")), Role(ex("t")))})
         with pytest.raises(UnsupportedFeatureError):
@@ -554,37 +541,6 @@ class TestDisplay:
 
 
 # -- randomized invariants -------------------------------------------------------
-
-INDIVIDUALS = tuple(ex(f"i{k}") for k in range(6))
-CLASS_NAMES = tuple(ex(f"C{k}") for k in range(4))
-
-
-def random_ontology(rng: random.Random) -> Ontology:
-    """Small ontology exercising every rule family, sized for brute force."""
-    sym, p, q, r, t = (ex(n) for n in ("sym", "p", "q", "r", "t"))
-    tbox = {
-        SubClassOf(Named(CLASS_NAMES[0]), Named(CLASS_NAMES[1])),
-        SubClassOf(Named(CLASS_NAMES[1]), Named(CLASS_NAMES[2])),
-        EquivalentClasses(Named(CLASS_NAMES[3]),
-                          And((Named(CLASS_NAMES[2]),
-                               Exists(Role(p), Named(CLASS_NAMES[1]))))),
-        symmetric_axiom(sym),
-        InverseRoles(p, q),
-        RoleChain(Role(r), Role(r), Role(t)),
-        SubRoleOf(Role(r), Role(p)),
-        Domain(Role(p), Named(CLASS_NAMES[0])),
-        Range(Role(p), Named(CLASS_NAMES[2])),
-    }
-    abox = set()
-    for _ in range(rng.randint(2, 8)):
-        abox.add(RoleAssertion(rng.choice(INDIVIDUALS),
-                               rng.choice((sym, p, q, r)),
-                               rng.choice(INDIVIDUALS)))
-    for _ in range(rng.randint(1, 4)):
-        abox.add(ClassAssertion(rng.choice(INDIVIDUALS),
-                                Named(rng.choice(CLASS_NAMES))))
-    return ont_of(tbox, abox)
-
 
 def named_projection(sat):
     classes = {(a, c) for (a, c) in sat.class_facts if a not in sat.fresh}
@@ -712,14 +668,6 @@ def scan_check(sat, individual: str, expr: ClassExpr) -> bool:
         return any(scan_check(sat, b, expr.filler) for b in successors)
     if isinstance(expr, ExistsSelf):
         return (individual, expr.role.iri, individual) in sat.role_facts
-    if isinstance(expr, Forall):
-        if isinstance(expr.role, Role):
-            successors = (o for (s, r, o) in sat.role_facts
-                          if s == individual and r == expr.role.iri)
-        else:
-            successors = (s for (s, r, o) in sat.role_facts
-                          if o == individual and r == expr.role.iri)
-        return all(scan_check(sat, b, expr.filler) for b in successors)
     return len(scan_fillers(sat, individual, expr.role.iri, expr.filler)) <= expr.n
 
 
@@ -736,8 +684,8 @@ def check_index_against_scan(ont: Ontology) -> None:
     roles = sorted({r for (_, r, _) in sat.role_facts})
     fillers = [Thing()] + [Named(c) for c in sorted({c for (_, c) in sat.class_facts})]
     for role in roles:
-        exprs = [kind(r, filler) for filler in fillers
-                 for kind in (Exists, Forall) for r in (Role(role), Inverse(role))]
+        exprs = [Exists(r, filler) for filler in fillers
+                 for r in (Role(role), Inverse(role))]
         exprs += [MaxCard(1, Role(role), filler) for filler in fillers]
         for individual in individuals:
             for expr in exprs:
@@ -843,20 +791,7 @@ class NaiveEngine(_Facts):
             raise UnsupportedFeatureError(f"axiom {axiom!r} is not supported")
 
     def _class_rule(self, lhs: ClassExpr, rhs: ClassExpr) -> None:
-        if self._mentions_forall(lhs) or self._mentions_forall(rhs):
-            raise UnsupportedFeatureError(
-                "universal restrictions in class axioms are not supported")
         self.class_rules.append((lhs, rhs))
-
-    @staticmethod
-    def _mentions_forall(expr: ClassExpr) -> bool:
-        if isinstance(expr, Forall):
-            return True
-        if isinstance(expr, And):
-            return any(NaiveEngine._mentions_forall(p) for p in expr.parts)
-        if isinstance(expr, (Exists, MaxCard)):
-            return NaiveEngine._mentions_forall(expr.filler)
-        return False
 
     def _seed(self, index: int, assertion: Assertion) -> None:
         if isinstance(assertion, ClassAssertion):
