@@ -10,20 +10,21 @@ item element per IRI.
 Three role characteristics are stored through fixed encodings rather than
 dedicated axiom kinds:
 
-* symmetric r        ->  SubRoleOf(Inverse(r), Role(r))
+* symmetric r        ->  InverseRoles(r, r)
 * functional r       ->  SubClassOf(Thing, MaxCard(1, r, Thing))
 * irreflexive r      ->  SubClassOf(ExistsSelf(r), Nothing)
 
 The loader produces these encodings from the owl:SymmetricProperty /
 owl:FunctionalProperty / owl:IrreflexiveProperty type markers, and the
-renderer recognizes them and emits the markers again.
+renderer recognizes them and emits the markers again, also for a loaded
+p owl:inverseOf p, which is the symmetric encoding.  Every role in the
+model is a named Role, so every ontology it can hold renders and loads back.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict, namedtuple
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -68,20 +69,25 @@ class And:
 
 
 @dataclass(frozen=True)
+class Role:
+    iri: str
+
+
+@dataclass(frozen=True)
 class Exists:
-    role: "RoleExpr"
+    role: Role
     filler: "ClassExpr"
 
 
 @dataclass(frozen=True)
 class ExistsSelf:
-    role: "RoleExpr"
+    role: Role
 
 
 @dataclass(frozen=True)
 class MaxCard:
     n: int
-    role: "RoleExpr"
+    role: Role
     filler: "ClassExpr"
 
     def __post_init__(self):
@@ -90,19 +96,6 @@ class MaxCard:
 
 
 ClassExpr = Thing | Nothing | Named | And | Exists | ExistsSelf | MaxCard
-
-
-@dataclass(frozen=True)
-class Role:
-    iri: str
-
-
-@dataclass(frozen=True)
-class Inverse:
-    iri: str
-
-
-RoleExpr = Role | Inverse
 
 
 # -- axioms and assertions --------------------------------------------------------
@@ -127,15 +120,15 @@ class DisjointClasses:
 
 @dataclass(frozen=True)
 class SubRoleOf:
-    sub: RoleExpr
-    sup: RoleExpr
+    sub: Role
+    sup: Role
 
 
 @dataclass(frozen=True)
 class RoleChain:
-    first: RoleExpr
-    second: RoleExpr
-    implied: RoleExpr
+    first: Role
+    second: Role
+    implied: Role
 
 
 @dataclass(frozen=True)
@@ -152,13 +145,13 @@ class DisjointRoles:
 
 @dataclass(frozen=True)
 class Domain:
-    role: RoleExpr
+    role: Role
     cls: ClassExpr
 
 
 @dataclass(frozen=True)
 class Range:
-    role: RoleExpr
+    role: Role
     cls: ClassExpr
 
 
@@ -201,8 +194,8 @@ class DataAssertion:
 Assertion = ClassAssertion | RoleAssertion | DataAssertion
 
 
-def symmetric_axiom(role_iri: str) -> SubRoleOf:
-    return SubRoleOf(Inverse(role_iri), Role(role_iri))
+def symmetric_axiom(role_iri: str) -> InverseRoles:
+    return InverseRoles(role_iri, role_iri)
 
 
 def functional_axiom(role_iri: str) -> SubClassOf:
@@ -329,6 +322,7 @@ _ROWS_BY_NAME = {name: [row for row in _AXIOM_ROWS if row.name == name]
 _PREDICATES = {RDF_TYPE, RDF_FIRST, RDF_REST, *("".join(name) for name in _ROWS_BY_NAME)} | {
     OWL_NS + local for local in ("intersectionOf", "someValuesFrom", "hasSelf", "onProperty",
                                  "onClass", "maxQualifiedCardinality", "maxCardinality")}
+_READING = object()  # the memo entry of a term whose expression is being read
 
 
 class _OntologyLoader:
@@ -375,9 +369,13 @@ class _OntologyLoader:
 
     def read_list(self, head: Term) -> list[Term]:
         members: list[Term] = []
+        cells: set[Term] = set()
         while not (isinstance(head, Iri) and head.value == RDF_NIL):
             if not isinstance(head, Iri):
                 raise RdfParseError("malformed RDF list")
+            if head in cells:
+                raise RdfParseError(f"cyclic RDF list through cell {head.value}")
+            cells.add(head)
             firsts = self.objects(head.value, RDF_FIRST)
             rests = self.objects(head.value, RDF_REST)
             if len(firsts) != 1 or len(rests) != 1:
@@ -394,7 +392,10 @@ class _OntologyLoader:
     def class_expr(self, term: Term) -> ClassExpr:
         expr = self._class_exprs.get(term)
         if expr is None:
+            self._class_exprs[term] = _READING
             expr = self._class_exprs[term] = self._read_class_expr(term)
+        elif expr is _READING:
+            raise RdfParseError(f"cyclic class expression through {term.value}")
         return expr
 
     def _read_class_expr(self, term: Term) -> ClassExpr:
@@ -491,7 +492,8 @@ class _OntologyLoader:
                 predicate = triple.predicate.value
                 obj = triple.object
                 if predicate == RDF_TYPE:
-                    assert isinstance(obj, Iri)
+                    if not isinstance(obj, Iri):
+                        raise RdfParseError(f"rdf:type of individual {ind} must name a class")
                     if obj.value == OWL_NS + "NamedIndividual":
                         continue
                     assertions.append(ClassAssertion(ind, self.class_expr(obj)))
@@ -535,10 +537,6 @@ def load_ontology(graph: RdfGraph) -> Ontology:
 
 # -- rendering back to RDF/XML -----------------------------------------------------
 
-class _Unrenderable(Exception):
-    """Axiom shape the entity-grouped renderer cannot express."""
-
-
 _ABOUT, _RESOURCE, _DATATYPE = (RDF_NS, "about"), (RDF_NS, "resource"), (RDF_NS, "datatype")
 _COLLECTION = (((RDF_NS, "parseType"), "Collection"),)
 _NAME_TAIL_RE = re.compile(_NCNAME_RE.pattern.removeprefix("^"))  # a trailing XML name
@@ -558,8 +556,8 @@ def _text(value: str) -> tuple:
 
 def _marker_of(axiom: Axiom) -> tuple[str, str] | None:
     """(role IRI, type marker) when the axiom encodes a role characteristic."""
-    if isinstance(axiom, SubRoleOf):
-        roles = {axiom.sub.iri}
+    if isinstance(axiom, InverseRoles):
+        roles = {axiom.left}
     elif isinstance(axiom, SubClassOf):
         roles = roles_in(axiom.sub) | roles_in(axiom.sup)
     else:
@@ -569,12 +567,6 @@ def _marker_of(axiom: Axiom) -> tuple[str, str] | None:
             if encode(role) == axiom:
                 return role, kind
     return None
-
-
-def _named_role(role: RoleExpr) -> str:
-    if not isinstance(role, Role):
-        raise _Unrenderable
-    return role.iri
 
 
 class _Renderer:
@@ -624,8 +616,8 @@ class _Renderer:
         return _describe((OWL_NS, "Restriction"),
                          parts=(self.on_property(expr.role),) + constraint)
 
-    def on_property(self, role: RoleExpr) -> tuple:
-        return self.role_ref((OWL_NS, "onProperty"), _named_role(role))
+    def on_property(self, role: Role) -> tuple:
+        return self.role_ref((OWL_NS, "onProperty"), role.iri)
 
     def role_ref(self, name: tuple[str, str], iri: str) -> tuple:
         self.mentioned["object"].add(iri)
@@ -641,8 +633,6 @@ class _Renderer:
         row = _ROW_OF[type(axiom)]
         subject, obj = _sides(axiom)
         anchor = _entity_iri(subject)
-        if anchor is None and row.subject != "class":
-            raise _Unrenderable  # a property axiom over an inverse role
         content = self.write(row.object, row.name, obj)
         if anchor is not None:
             self.child(row.entity, anchor, row.rank, content)
@@ -658,11 +648,11 @@ class _Renderer:
         if way == "datatype":
             return _describe(name, [(_RESOURCE, side)])
         if way == "chain":
-            links = [_named_role(link) for link in side]
+            links = [link.iri for link in side]
             self.mentioned["object"] |= set(links)
             return _describe(name, _COLLECTION, tuple(
                 _describe((OWL_NS, "ObjectProperty"), [(_ABOUT, link)]) for link in links))
-        return self.role_ref(name, _named_role(side) if way == "role" else side)
+        return self.role_ref(name, side.iri if way == "role" else side)
 
     def property_name(self, iri: str) -> tuple[str, str]:
         """(namespace, local) split before the IRI's longest XML-name tail."""
@@ -726,10 +716,10 @@ def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
     inclusion, or owl:Thing) is a child of its subject's own node, after
     the entities.  With a subject IRI, only axioms axiom_subjects gives that
     entity and assertions about it are rendered, plus bare declarations for
-    every entity they reference.  Shapes over an inverse role, which the
-    loader never builds, are skipped.  A role or data assertion whose
-    property IRI has no XML-name tail after a namespace raises
-    UnsupportedFeatureError, as RDF/XML has no element name for it.
+    every entity they reference.  Loading the output gives back the axioms
+    and assertions rendered.  A role or data assertion whose property IRI
+    has no XML-name tail after a namespace raises UnsupportedFeatureError,
+    as RDF/XML has no element name for it.
 
     Entities come by kind, then IRI; children by rank (for an individual:
     rdf:type, role, then data assertions), then as canonical_key orders
@@ -738,12 +728,10 @@ def axioms_to_xml(ont: Ontology, subject: str | None = None) -> XmlNode:
     renderer = _Renderer()
     for axiom in ont.tbox:
         if subject is None or subject in axiom_subjects(axiom):
-            with suppress(_Unrenderable):
-                renderer.add_axiom(axiom)
+            renderer.add_axiom(axiom)
     for assertion in sorted(ont.abox, key=_assertion_key):
         if subject is None or subject == assertion_subject(assertion):
-            with suppress(_Unrenderable):
-                renderer.add_assertion(assertion)
+            renderer.add_assertion(assertion)
     doc = XmlNode("document")
     root = renderer.build(doc, _describe((RDF_NS, "RDF")))
     if subject is None and ont.iri:

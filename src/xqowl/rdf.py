@@ -176,7 +176,7 @@ class _RdfReader:
     def check_attrs(self, el: XmlNode, allowed: set[QName], where: str) -> None:
         for attr in el.attributes:
             name = attr.name
-            assert name is not None
+            assert name is not None  # every attribute is built with its name
             if name in allowed:
                 continue
             if name == _RDF_NODE_ID:
@@ -192,7 +192,7 @@ class _RdfReader:
                 f"use a child property element")
 
     def node_element(self, el: XmlNode) -> Iri:
-        assert el.name is not None
+        assert el.name is not None  # callers pass elements, each built with its name
         self.check_attrs(el, _NODE_ATTRS_OK, "node")
         about = xmltree.get_attribute(el, _RDF_ABOUT)
         subject = Iri(resolve_iri(self.base, about)) if about is not None \
@@ -208,7 +208,7 @@ class _RdfReader:
         return subject
 
     def property_element(self, subject: Iri, el: XmlNode) -> None:
-        assert el.name is not None
+        assert el.name is not None  # callers pass elements, each built with its name
         self.check_attrs(el, _PROP_ATTRS_OK, "property")
         predicate = self.name_iri(el.name)
         resource = xmltree.get_attribute(el, _RDF_RESOURCE)

@@ -2,8 +2,9 @@
 
 The ABox is saturated to a least fixpoint under Horn rules compiled, once
 per Reasoner, from the TBox (subclass/equivalence, role hierarchy,
-inverse/symmetric flips, length-2 chains, domain/range, data-property
-domains).  Saturation is semi-naive: a role rule reads only the role facts
+inverse-of flips, of which a symmetric role r has InverseRoles(r, r),
+length-2 chains, domain/range, data-property domains), where every role
+is named.  Saturation is semi-naive: a role rule reads only the role facts
 added since it last ran, and a class rule, indexed by the names its
 left-hand side reads, checks an individual again only when such a fact is
 new; rules still fire in the naive order, on which witness creation
@@ -33,10 +34,9 @@ from functools import cached_property
 from .errors import InconsistentOntologyError, UnsupportedFeatureError
 from .owl import (
     And, ClassAssertion, ClassExpr, DataDomain, DataRange, DisjointClasses,
-    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Inverse,
-    InverseRoles, MaxCard, Named, Nothing, NOTHING_IRI, Ontology,
-    Range, Role, RoleAssertion, RoleChain, RoleExpr, SubClassOf, SubRoleOf,
-    THING_IRI, Thing,
+    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, InverseRoles,
+    MaxCard, Named, Nothing, NOTHING_IRI, Ontology, Range, RoleAssertion, RoleChain,
+    SubClassOf, SubRoleOf, THING_IRI, Thing,
 )
 from .rdf import Literal
 
@@ -74,12 +74,8 @@ class _Facts:
         if isinstance(expr, ExistsSelf):
             return (individual, expr.role.iri, individual) in self.role_facts
         if isinstance(expr, Exists):
-            successors = self.neighbours(individual, expr.role.iri,
-                                         isinstance(expr.role, Inverse))
-            return any(self.check(b, expr.filler) for b in successors)
-        if not isinstance(expr.role, Role):
-            raise UnsupportedFeatureError(
-                "cardinality over an inverse role is not supported")
+            return any(self.check(b, expr.filler)
+                       for b in self.neighbours(individual, expr.role.iri, False))
         return len(self.named_fillers(individual, expr.role.iri, expr.filler)) <= expr.n
 
 
@@ -104,14 +100,10 @@ def display_class(expr: ClassExpr) -> str:
     if isinstance(expr, And):
         return "(" + " and ".join(display_class(p) for p in expr.parts) + ")"
     if isinstance(expr, ExistsSelf):
-        return f"({display_role(expr.role)} some Self)"
+        return f"({expr.role.iri} some Self)"
     if isinstance(expr, Exists):
-        return f"({display_role(expr.role)} some {display_class(expr.filler)})"
-    return f"(max {expr.n} {display_role(expr.role)} {display_class(expr.filler)})"
-
-
-def display_role(role: RoleExpr) -> str:
-    return role.iri if isinstance(role, Role) else f"inverse({role.iri})"
+        return f"({expr.role.iri} some {display_class(expr.filler)})"
+    return f"(max {expr.n} {expr.role.iri} {display_class(expr.filler)})"
 
 
 def _mentions(expr: ClassExpr, kind: type) -> bool:
@@ -126,19 +118,13 @@ def witness_name(key: tuple) -> str:
     return "urn:witness:" + hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
-def _named_role_iri(role: RoleExpr, where: str) -> str:
-    if not isinstance(role, Role):
-        raise UnsupportedFeatureError(f"an inverse role in {where} is not supported")
-    return role.iri
-
-
 class _Rules:
     """A TBox sorted once by repr and compiled once.
 
     typing maps (property, "domain"/"range"/"data-domain") to classes.
-    triggers maps a class IRI, or (role IRI, False/True/None for a fact read
-    at its subject/object/as a self-loop), to (rule, path): the class rules
-    reading it and the (role, inverse?) steps from their individual to it.
+    triggers maps a class IRI, or (role IRI, False/None for a fact read at
+    its subject/as a self-loop), to (rule, path): the class rules reading it
+    and the roles stepped along from their individual to it.
     unstable: an asserted class has a cardinality bound, so asserting it
     twice can add facts (an existential's filler may stop holding).
     """
@@ -156,12 +142,10 @@ class _Rules:
 
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
-            if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sub.role, Role) \
-                    and isinstance(axiom.sup, Nothing):
+            if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sup, Nothing):
                 self.irreflexive.add(axiom.sub.role.iri)
             elif isinstance(axiom.sup, MaxCard):
-                iri = _named_role_iri(axiom.sup.role, "a cardinality restriction")
-                self.static_limits.append((axiom.sub, axiom.sup.n, iri,
+                self.static_limits.append((axiom.sub, axiom.sup.n, axiom.sup.role.iri,
                                            axiom.sup.filler))
             else:
                 self._class_rule(axiom.sub, axiom.sup)
@@ -169,22 +153,19 @@ class _Rules:
             self._class_rule(axiom.left, axiom.right)
             self._class_rule(axiom.right, axiom.left)
         elif isinstance(axiom, SubRoleOf):
-            # inverse(r) into inverse(s) collapses to r into s
-            same = isinstance(axiom.sub, Inverse) == isinstance(axiom.sup, Inverse)
-            (self.subroles if same else self.flips)[axiom.sub.iri].append(axiom.sup.iri)
+            self.subroles[axiom.sub.iri].append(axiom.sup.iri)
         elif isinstance(axiom, RoleChain):
-            self.chains.append(tuple(_named_role_iri(role, "a role chain") for role
-                                     in (axiom.first, axiom.second, axiom.implied)))
+            self.chains.append((axiom.first.iri, axiom.second.iri, axiom.implied.iri))
         elif isinstance(axiom, InverseRoles):
             self.flips[axiom.left].append(axiom.right)
-            self.flips[axiom.right].append(axiom.left)
+            if axiom.right != axiom.left:  # a symmetric role flips once
+                self.flips[axiom.right].append(axiom.left)
         elif isinstance(axiom, DisjointClasses):
             self.disjoint_classes.append((axiom.left, axiom.right))
         elif isinstance(axiom, DisjointRoles):
             self.disjoint_roles.append((axiom.left, axiom.right))
         elif isinstance(axiom, (Domain, Range)):
-            subject = isinstance(axiom, Domain) == isinstance(axiom.role, Role)
-            side = "domain" if subject else "range"
+            side = "domain" if isinstance(axiom, Domain) else "range"
             self.typing[axiom.role.iri, side].append(axiom.cls)
         elif isinstance(axiom, DataDomain):
             self.typing[axiom.prop, "data-domain"].append(axiom.cls)
@@ -204,9 +185,8 @@ class _Rules:
         elif isinstance(expr, ExistsSelf):
             self.triggers[expr.role.iri, None].append((rule, path))
         elif isinstance(expr, (Exists, MaxCard)):
-            step = (expr.role.iri, isinstance(expr.role, Inverse))
-            self.triggers[step].append((rule, path))
-            self._triggers(rule, expr.filler, path + (step,))
+            self.triggers[expr.role.iri, False].append((rule, path))
+            self._triggers(rule, expr.filler, path + (expr.role.iri,))
 
 
 class _Engine(_Facts):
@@ -244,7 +224,6 @@ class _Engine(_Facts):
             self._index[subject, role, False].add(obj)
             self._index[obj, role, True].add(subject)
             self._touch((role, False), subject)
-            self._touch((role, True), obj)
             if subject == obj:
                 self._touch((role, None), subject)
 
@@ -252,8 +231,8 @@ class _Engine(_Facts):
         """Mark trigger's class rules to check what reaches node along its path."""
         for rule, path in self.rules.triggers.get(trigger, ()):
             nodes = (node,)
-            for role, inverse in reversed(path):
-                nodes = {p for n in nodes for p in self.neighbours(n, role, not inverse)}
+            for role in reversed(path):
+                nodes = {p for n in nodes for p in self.neighbours(n, role, True)}
             self._dirty[rule].update(nodes)
 
     def assert_expr(self, individual: str, expr: ClassExpr, key: tuple,
@@ -279,14 +258,10 @@ class _Engine(_Facts):
                 self.fresh.add(witness)
                 for dirty in self._dirty:
                     dirty.add(witness)
-            if isinstance(expr.role, Role):
-                self.add_role(individual, expr.role.iri, witness)
-            else:
-                self.add_role(witness, expr.role.iri, individual)
+            self.add_role(individual, expr.role.iri, witness)
             self.assert_expr(witness, expr.filler, key + ("filler",), True)
         elif isinstance(expr, MaxCard):
-            iri = _named_role_iri(expr.role, "a cardinality restriction")
-            self.dynamic_limits.add((individual, expr.n, iri, expr.filler))
+            self.dynamic_limits.add((individual, expr.n, expr.role.iri, expr.filler))
 
     def _type(self, individual: str, prop: str, side: str) -> None:
         for cls in self.rules.typing.get((prop, side), ()):

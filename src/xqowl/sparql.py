@@ -97,7 +97,7 @@ def _tokenize(text: str) -> list[_Token]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        assert m is not None
+        assert m is not None  # any character matches, at worst as an "other" token
         pos = m.end()
         kind = m.lastgroup or ""
         if kind == "ws":

@@ -274,19 +274,15 @@ class _PrefixPlan:
         self._assign()
 
     def _scan(self, node: XmlNode) -> None:
-        if node.kind == "document":
-            for child in node.children:
-                self._scan(child)
-            return
         if node.kind != "element":
             return
-        assert node.name is not None
+        assert node.name is not None  # every element is built with its name
         if node.name.namespace is None:
             self._has_plain_elements = True
         else:
             self._order.append((node.name.namespace, node.name.prefix))
         for attr in node.attributes:
-            assert attr.name is not None
+            assert attr.name is not None  # every attribute is built with its name
             ns = attr.name.namespace
             if ns is not None and ns != XML_NS:
                 self._attr_namespaces.add(ns)
@@ -367,7 +363,7 @@ def _significant_children(node: XmlNode, indent: bool) -> list[XmlNode]:
 
 def _write_element(out: list[str], node: XmlNode, plan: _PrefixPlan,
                    depth: int, indent: bool, is_root: bool = False) -> None:
-    assert node.name is not None
+    assert node.name is not None  # every element is built with its name
     tag = plan.render_name(node.name)
     attrs: list[tuple[str, str]] = []
     if is_root:
@@ -407,9 +403,9 @@ def canonical_key(node: XmlNode) -> tuple:
     if node.kind == "text":
         return ("text", (node.value or "").strip())
     if node.kind == "attribute":
-        assert node.name is not None
+        assert node.name is not None  # every attribute is built with its name
         return ("attribute", (node.name.namespace, node.name.local), node.value or "")
-    assert node.name is not None
+    assert node.name is not None  # an element: every one is built with its name
     attrs = tuple(sorted(((a.name.namespace, a.name.local), a.value or "")
                          for a in node.attributes))
     parts: list[tuple] = []

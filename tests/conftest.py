@@ -23,14 +23,16 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
 
 
-def run_cli(args: list[str], hashseed: int | None = None) -> subprocess.CompletedProcess:
+def run_cli(args: list[str], hashseed: int | None = None,
+            timeout: float = 120) -> subprocess.CompletedProcess:
     """Run `python ARGS` in a child process that imports xqowl from the
-    source tree, with PYTHONHASHSEED set when a hashseed is given."""
+    source tree, with PYTHONHASHSEED set when a hashseed is given; a child
+    still running after timeout seconds is killed and the test fails."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     if hashseed is not None:
         env["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env=env)
+                          timeout=timeout, env=env)
 
 
 def steps_of(path: str, **namespaces: str) -> tuple:

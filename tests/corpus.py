@@ -11,12 +11,11 @@ import random
 
 from xqowl.owl import (
     And, ClassAssertion, DataAssertion, DataDomain, DataRange, DisjointClasses,
-    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Inverse,
-    InverseRoles, MaxCard, Named, Nothing, Ontology, Range, Role, RoleAssertion,
-    RoleChain, SubClassOf, SubRoleOf, Thing, functional_axiom, irreflexive_axiom,
-    symmetric_axiom,
+    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, InverseRoles,
+    MaxCard, Named, Nothing, Ontology, Range, Role, RoleAssertion, RoleChain,
+    SubClassOf, SubRoleOf, Thing, functional_axiom, irreflexive_axiom, symmetric_axiom,
 )
-from xqowl.rdf import XSD_NS, Literal
+from xqowl.rdf import XSD_NS, Iri, Literal, RdfGraph, Triple, parse_rdfxml, term_key
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 
@@ -68,15 +67,15 @@ def generated_ontology(rng: random.Random) -> Ontology:
     """Nested intersections and restrictions (self, max-cardinality 0-12,
     Thing/Nothing fillers), typed and untyped literals with leading,
     trailing or only whitespace or none at all, over two foreign namespaces.
-    It is built from the model, so it also holds shapes the loader never
-    builds, such as restrictions over inverse roles."""
+    It is built from the model directly, not read from RDF/XML."""
     classes = [rng.choice(FOREIGN) + f"C{k}" for k in range(5)]
     roles = [rng.choice(FOREIGN) + f"r{k}" for k in range(4)]
     props = [rng.choice(FOREIGN) + f"d{k}" for k in range(3)]
     individuals = [rng.choice(FOREIGN) + f"i{k}" for k in range(5)]
 
     def role():
-        return Inverse(rng.choice(roles)) if rng.random() < 0.05 else Role(rng.choice(roles))
+        rng.random()  # still drawn, so that each seed keeps its ontology
+        return Role(rng.choice(roles))
 
     def expr(depth=0):
         k = rng.random()
@@ -255,3 +254,25 @@ def rdfxml_ontology(rng: random.Random) -> str:
     return (f'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
             f'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
             f'xmlns:owl="{OWL_NS}"{xmlns}>' + "".join(body) + "</rdf:RDF>")
+
+
+def mutated_graph(rng: random.Random) -> RdfGraph:
+    """The graph of an rdfxml_ontology after one to three triple-level
+    mutations: a triple dropped, a triple's object replaced by a literal or
+    by another term of the graph, or a triple added over the graph's terms."""
+    graph = parse_rdfxml(rdfxml_ontology(rng))
+    triples = sorted(graph, key=lambda t: tuple(map(term_key, t)))
+    terms = sorted({term for t in triples for term in (t.subject, t.object)}
+                   | {Literal("x"), Literal("1")}, key=term_key)
+    iris = [term for term in terms if isinstance(term, Iri)]
+    predicates = sorted({t.predicate for t in triples}, key=term_key)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.random()
+        if k < 0.35:
+            triples.pop(rng.randrange(len(triples)))
+        elif k < 0.7:
+            subject, predicate, _ = triples.pop(rng.randrange(len(triples)))
+            triples.append(Triple(subject, predicate, rng.choice(terms)))
+        else:
+            triples.append(Triple(rng.choice(iris), rng.choice(predicates), rng.choice(terms)))
+    return RdfGraph(triples, base_iri=graph.base_iri)

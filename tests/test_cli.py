@@ -118,6 +118,37 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "intersectionOf" in err
 
+    @pytest.mark.parametrize("body,message", [
+        ('<owl:NamedIndividual rdf:about="#a"><rdf:type>x</rdf:type></owl:NamedIndividual>',
+         "rdf:type of individual http://x.org/o#a must name a class"),
+        ('<owl:Class rdf:about="#c"><owl:intersectionOf rdf:resource="#l"/></owl:Class>'
+         '<rdf:Description rdf:about="#l"><rdf:first rdf:resource="#a"/>'
+         '<rdf:rest rdf:resource="#l"/></rdf:Description>'
+         '<owl:Class rdf:about="#d"><rdfs:subClassOf rdf:resource="#c"/></owl:Class>',
+         "cyclic RDF list through cell http://x.org/o#l"),
+        ('<owl:Restriction rdf:about="#x"><owl:onProperty rdf:resource="#r"/>'
+         '<owl:someValuesFrom rdf:resource="#x"/></owl:Restriction>'
+         '<owl:Class rdf:about="#d"><rdfs:subClassOf rdf:resource="#x"/></owl:Class>',
+         "cyclic class expression through http://x.org/o#x"),
+    ], ids=["literal-type", "cyclic-list", "cyclic-restriction"])
+    def test_malformed_ontology_is_one_named_error(self, tmp_path, body, message):
+        """In a child process with a timeout, so that a loop fails the test."""
+        owl = tmp_path / "bad.owl"
+        owl.write_text(
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
+            'xmlns:owl="http://www.w3.org/2002/07/owl#" xml:base="http://x.org/o">'
+            f'{body}</rdf:RDF>')
+        proc = run_process(["-m", "xqowl.cli", "reason", "--task", "consistent",
+                            "--ontology", str(owl)], timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+    def test_holds_requires_property(self, capsys):
+        code, out, err = run_cli(
+            capsys, "reason", "--task", "holds", "--ontology", fx("socialnetwork.owl"),
+            "--individual", "jesus", "--individual", "luis")
+        assert (code, out, err) == (2, "", "usage error: task 'holds' needs --property\n")
+
     def test_rendering_an_assertion_over_a_namespace_ending_in_a_digit(
             self, tmp_path, capsys):
         # namespace urn:ex:1 + local p loads as urn:ex:1p, which has no XML

@@ -294,6 +294,10 @@ class TestEvaluation:
     def test_comparison_atomizes_nodes(self):
         assert run_text("<a>true</a> = 'true'") == [True]
 
+    def test_comment_in_a_constructor_is_dropped(self):
+        [node] = run_text("<a>x<!-- c -->y</a>")
+        assert serialize_xml(node) == "<a>xy</a>"
+
     def test_path_from_variable(self):
         result = run_text(
             "let $d := <r><a>1</a><a>2</a></r> return $d/a/text()")

@@ -6,16 +6,16 @@ import re
 import pytest
 
 from conftest import FIXTURES, assert_document_order, preorder_ids
-from corpus import generated_ontology, random_ontology, rdfxml_ontology
+from corpus import generated_ontology, mutated_graph, random_ontology, rdfxml_ontology
 
-from xqowl.errors import RdfParseError, UnsupportedFeatureError
+from xqowl.errors import RdfParseError, UnsupportedFeatureError, XqowlError
 from xqowl.owl import (
     And, ClassAssertion, DataAssertion, DataDomain, DataRange, DisjointClasses,
-    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, Inverse,
-    InverseRoles, MaxCard, Named, Ontology, Range, Role, RoleAssertion,
-    RoleChain, SubClassOf, SubRoleOf, Thing, axioms_to_xml, entities_to_xml,
-    assertion_subject, axiom_subjects, functional_axiom, irreflexive_axiom, load_ontology,
-    named_classes_in, roles_in, symmetric_axiom,
+    DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, InverseRoles,
+    MaxCard, Named, Ontology, Range, Role, RoleAssertion, RoleChain, SubClassOf,
+    SubRoleOf, Thing, axioms_to_xml, entities_to_xml, assertion_subject, axiom_subjects,
+    functional_axiom, irreflexive_axiom, load_ontology, named_classes_in, roles_in,
+    symmetric_axiom,
 )
 from xqowl.rdf import XSD_NS, Literal, RdfGraph, parse_rdfxml
 from xqowl.xmltree import (
@@ -160,7 +160,7 @@ class TestExpressions:
 
     def test_expression_walkers(self):
         expr = And((Named("urn:a"),
-                    Exists(Inverse("urn:r"), MaxCard(1, Role("urn:s"), Named("urn:b"))),
+                    Exists(Role("urn:r"), MaxCard(1, Role("urn:s"), Named("urn:b"))),
                     ExistsSelf(Role("urn:t"))))
         assert named_classes_in(expr) == {"urn:a", "urn:b"}
         assert roles_in(expr) == {"urn:r", "urn:s", "urn:t"}
@@ -419,6 +419,12 @@ LOADER_ERRORS = [
     ("""<owl:ObjectProperty rdf:about="#p"/>
         <owl:NamedIndividual rdf:about="#a"><p>v</p></owl:NamedIndividual>""",
      RdfParseError, "object property http://x.org/o#p expects an IRI value"),
+    ("""<owl:NamedIndividual rdf:about="#a"><rdf:type>x</rdf:type></owl:NamedIndividual>""",
+     RdfParseError, "rdf:type of individual http://x.org/o#a must name a class"),
+    ("""<owl:Restriction rdf:about="#x"><owl:onProperty rdf:resource="#r"/>
+          <owl:someValuesFrom rdf:resource="#x"/></owl:Restriction>
+        <owl:Class rdf:about="#c"><rdfs:subClassOf rdf:resource="#x"/></owl:Class>""",
+     RdfParseError, "cyclic class expression through http://x.org/o#x"),
 ]
 
 
@@ -434,6 +440,17 @@ class TestLoaderMessages:
         with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
             load_ontology(parse_rdfxml(markup))
         assert type(raised.value) is error
+
+    def test_mutated_graphs_load_or_raise_a_named_error(self):
+        """Triple-level mutants of generated ontologies: dropped, redirected
+        and added triples, which can make lists and expressions cyclic."""
+        for seed in range(800):
+            try:
+                load_ontology(mutated_graph(random.Random(seed)))
+            except XqowlError:
+                pass
+            except Exception as exc:  # anything else is a crash
+                pytest.fail(f"mutant {seed}: {exc!r}")
 
 
 def papers(local: str) -> str:
@@ -728,19 +745,40 @@ def reloaded(ont: Ontology, subject: str | None = None) -> Ontology:
     return load_ontology(parse_rdfxml(serialize_xml(axioms_to_xml(ont, subject=subject))))
 
 
+def check_load_render_load(ont: Ontology) -> None:
+    """Whole, and per entity: an entity's render loads back to the axioms
+    axiom_subjects anchors on it and the assertions about it."""
+    back = reloaded(ont)
+    assert (back.tbox, back.abox) == (ont.tbox, ont.abox)
+    for entity in entities_of(ont):
+        back = reloaded(ont, entity)
+        assert back.tbox == {a for a in ont.tbox if entity in axiom_subjects(a)}, entity
+        assert back.abox == {a for a in ont.abox
+                             if assertion_subject(a) == entity}, entity
+
+
 class TestLoadRenderLoad:
     @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl",
                                         *range(200)])
     def test_every_loadable_ontology_round_trips(self, source):
-        """Whole, and per entity: an entity's render loads back to the axioms
-        axiom_subjects anchors on it and the assertions about it."""
         markup = (FIXTURES / source).read_text() if isinstance(source, str) \
             else rdfxml_ontology(random.Random(source))
-        ont = load_ontology(parse_rdfxml(markup))
-        back = reloaded(ont)
-        assert (back.tbox, back.abox) == (ont.tbox, ont.abox)
-        for entity in entities_of(ont):
-            back = reloaded(ont, entity)
-            assert back.tbox == {a for a in ont.tbox if entity in axiom_subjects(a)}, entity
-            assert back.abox == {a for a in ont.abox
-                                 if assertion_subject(a) == entity}, entity
+        check_load_render_load(load_ontology(parse_rdfxml(markup)))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_every_generated_ontology_round_trips(self, seed):
+        """Built from the model, not read: every value it can hold renders."""
+        check_load_render_load(generated_ontology(random.Random(seed)))
+
+    def test_inverse_of_itself_is_the_symmetric_marker(self):
+        ont = load_ontology(parse_rdfxml("""
+            <rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+                     xmlns:owl="http://www.w3.org/2002/07/owl#">
+              <owl:ObjectProperty rdf:about="urn:ex:p">
+                <owl:inverseOf rdf:resource="urn:ex:p"/>
+              </owl:ObjectProperty>
+            </rdf:RDF>"""))
+        assert ont.tbox == {symmetric_axiom("urn:ex:p")}
+        markup = serialize_xml(axioms_to_xml(ont))
+        assert f'<rdf:type rdf:resource="{OWL_NS}SymmetricProperty"/>' in markup
+        assert "inverseOf" not in markup

@@ -241,6 +241,15 @@ def test_parse_type_collection_builds_a_first_rest_list():
     assert graph.objects(nxt, Iri(RDF_REST)) == [Iri(RDF_NIL)]
 
 
+def test_empty_collection_is_rdf_nil():
+    graph = parse_rdfxml(
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+        'xmlns:ex="http://ex.org/"><ex:A rdf:about="#a">'
+        '<ex:members rdf:parseType="Collection"/></ex:A></rdf:RDF>', base="http://ex.org/d")
+    assert graph.objects(Iri("http://ex.org/d#a"), Iri("http://ex.org/members")) == \
+        [Iri(RDF_NIL)]
+
+
 @pytest.mark.parametrize("markup,error", [
     ('<not-rdf/>', RdfParseError),
     ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#">'

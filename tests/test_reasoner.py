@@ -14,8 +14,8 @@ from xqowl.errors import InconsistentOntologyError, UnsupportedFeatureError
 from xqowl.owl import (
     And, Assertion, ClassAssertion, ClassExpr, DataAssertion, DataDomain,
     DataRange, DisjointClasses, DisjointRoles, Domain, EquivalentClasses,
-    Exists, ExistsSelf, Inverse, InverseRoles, MaxCard, Named, Nothing,
-    NOTHING_IRI, Ontology, Range, Role, RoleAssertion, RoleChain, RoleExpr,
+    Exists, ExistsSelf, InverseRoles, MaxCard, Named, Nothing,
+    NOTHING_IRI, Ontology, Range, Role, RoleAssertion, RoleChain,
     SubClassOf, SubRoleOf, Thing, functional_axiom, irreflexive_axiom,
     load_ontology, symmetric_axiom,
 )
@@ -259,8 +259,8 @@ class TestWitnesses:
 
     def test_inverse_existential_points_at_the_individual(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")),
-                             Exists(Inverse(ex("p")), Named(ex("B"))))},
+            tbox={InverseRoles(ex("p"), ex("q")),
+                  SubClassOf(Named(ex("A")), Exists(Role(ex("q")), Named(ex("B"))))},
             abox={ClassAssertion(ex("a"), Named(ex("A")))})
         sat = saturate(ont)
         witness = next(iter(sat.fresh))
@@ -358,12 +358,18 @@ class TestWitnesses:
         program = (
             "from xqowl.owl import *\n"
             "from xqowl.reasoner import saturate\n"
-            "r, A = Role('urn:ex:r'), Named('urn:ex:A')\n"
-            "tbox = {SubClassOf(A, And((Exists(r, A), Exists(Inverse('urn:ex:r'), A))))}\n"
+            "r, q, A = Role('urn:ex:r'), Role('urn:ex:q'), Named('urn:ex:A')\n"
+            "tbox = {InverseRoles('urn:ex:r', 'urn:ex:q'),\n"
+            "        SubClassOf(A, And((Exists(r, A), Exists(q, A))))}\n"
             "abox = {ClassAssertion(f'urn:ex:i{k}', A) for k in range(20)}\n"
-            "print(sorted(saturate(Ontology('', frozenset(tbox), frozenset(abox))).fresh))\n")
+            "sat = saturate(Ontology('', frozenset(tbox), frozenset(abox)))\n"
+            "print(sorted(sat.fresh))\n"
+            "print(sum(s in sat.fresh and o not in sat.fresh and p == r.iri\n"
+            "          for s, p, o in sat.role_facts))\n")
         outputs = {run_cli(["-c", program], hashseed=seed).stdout for seed in (1, 2, 3)}
-        assert len(outputs) == 1 and outputs.pop().count("urn:witness:") == 40
+        assert len(outputs) == 1
+        witnesses, back = outputs.pop().splitlines()
+        assert witnesses.count("urn:witness:") == 40 and back == "20"
 
 
 class TestInstanceRetrieval:
@@ -518,26 +524,11 @@ class TestReasonerFacade:
         assert reasoner.saturation is reasoner.saturation
 
 
-class TestUnsupported:
-    def test_inverse_links_in_chains_are_rejected(self):
-        ont = ont_of(tbox={RoleChain(Role(ex("p")), Inverse(ex("q")), Role(ex("t")))})
-        with pytest.raises(UnsupportedFeatureError):
-            saturate(ont)
-
-    def test_cardinality_over_inverse_roles_is_rejected(self):
-        ont = ont_of(tbox={SubClassOf(Thing(),
-                                      MaxCard(1, Inverse(ex("p")), Thing()))})
-        with pytest.raises(UnsupportedFeatureError):
-            saturate(ont)
-
-
 class TestDisplay:
     def test_class_expressions_render_compactly(self):
         expr = And((Named(ex("A")), Exists(Role(ex("p")), Thing())))
         assert display_class(expr) == \
             "(urn:ex:A and (urn:ex:p some http://www.w3.org/2002/07/owl#Thing))"
-        assert display_class(MaxCard(1, Inverse(ex("p")), Named(ex("B")))) == \
-            "(max 1 inverse(urn:ex:p) urn:ex:B)"
 
 
 # -- randomized invariants -------------------------------------------------------
@@ -659,12 +650,8 @@ def scan_check(sat, individual: str, expr: ClassExpr) -> bool:
     if isinstance(expr, And):
         return all(scan_check(sat, individual, p) for p in expr.parts)
     if isinstance(expr, Exists):
-        if isinstance(expr.role, Role):
-            successors = (o for (s, r, o) in sat.role_facts
-                          if s == individual and r == expr.role.iri)
-        else:
-            successors = (s for (s, r, o) in sat.role_facts
-                          if o == individual and r == expr.role.iri)
+        successors = (o for (s, r, o) in sat.role_facts
+                      if s == individual and r == expr.role.iri)
         return any(scan_check(sat, b, expr.filler) for b in successors)
     if isinstance(expr, ExistsSelf):
         return (individual, expr.role.iri, individual) in sat.role_facts
@@ -684,13 +671,14 @@ def check_index_against_scan(ont: Ontology) -> None:
     roles = sorted({r for (_, r, _) in sat.role_facts})
     fillers = [Thing()] + [Named(c) for c in sorted({c for (_, c) in sat.class_facts})]
     for role in roles:
-        exprs = [Exists(r, filler) for filler in fillers
-                 for r in (Role(role), Inverse(role))]
+        exprs = [Exists(Role(role), filler) for filler in fillers]
         exprs += [MaxCard(1, Role(role), filler) for filler in fillers]
         for individual in individuals:
             for expr in exprs:
                 assert sat.check(individual, expr) == \
                     scan_check(sat, individual, expr), (individual, expr)
+            assert set(sat.neighbours(individual, role, True)) == {
+                s for (s, r, o) in sat.role_facts if o == individual and r == role}
             assert reasoner.property_values(individual, role) == \
                 scan_fillers(sat, individual, role, Thing())
 
@@ -740,21 +728,12 @@ class NaiveEngine(_Facts):
         for index, assertion in enumerate(sorted(ont.abox, key=repr)):
             self._seed(index, assertion)
 
-
-    @staticmethod
-    def _named_role_iri(role: RoleExpr, where: str) -> str:
-        if not isinstance(role, Role):
-            raise UnsupportedFeatureError(f"an inverse role in {where} is not supported")
-        return role.iri
-
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
-            if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sub.role, Role) \
-                    and isinstance(axiom.sup, Nothing):
+            if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sup, Nothing):
                 self.irreflexive.add(axiom.sub.role.iri)
             elif isinstance(axiom.sup, MaxCard):
-                iri = self._named_role_iri(axiom.sup.role, "a cardinality restriction")
-                self.static_limits.append((axiom.sub, axiom.sup.n, iri,
+                self.static_limits.append((axiom.sub, axiom.sup.n, axiom.sup.role.iri,
                                            axiom.sup.filler))
             else:
                 self._class_rule(axiom.sub, axiom.sup)
@@ -762,16 +741,9 @@ class NaiveEngine(_Facts):
             self._class_rule(axiom.left, axiom.right)
             self._class_rule(axiom.right, axiom.left)
         elif isinstance(axiom, SubRoleOf):
-            sub_inv = isinstance(axiom.sub, Inverse)
-            sup_inv = isinstance(axiom.sup, Inverse)
-            if sub_inv == sup_inv:  # inverse(r) into inverse(s) collapses to r into s
-                self.subroles.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
-            else:
-                self.flips.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
+            self.subroles.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
         elif isinstance(axiom, RoleChain):
-            self.chains.append((self._named_role_iri(axiom.first, "a role chain"),
-                                self._named_role_iri(axiom.second, "a role chain"),
-                                self._named_role_iri(axiom.implied, "a role chain")))
+            self.chains.append((axiom.first.iri, axiom.second.iri, axiom.implied.iri))
         elif isinstance(axiom, InverseRoles):
             self.flips.setdefault(axiom.left, set()).add(axiom.right)
             self.flips.setdefault(axiom.right, set()).add(axiom.left)
@@ -780,11 +752,9 @@ class NaiveEngine(_Facts):
         elif isinstance(axiom, DisjointRoles):
             self.disjoint_roles.append((axiom.left, axiom.right))
         elif isinstance(axiom, Domain):
-            target = self.domains if isinstance(axiom.role, Role) else self.ranges
-            target.append((axiom.role.iri, axiom.cls))
+            self.domains.append((axiom.role.iri, axiom.cls))
         elif isinstance(axiom, Range):
-            target = self.ranges if isinstance(axiom.role, Role) else self.domains
-            target.append((axiom.role.iri, axiom.cls))
+            self.ranges.append((axiom.role.iri, axiom.cls))
         elif isinstance(axiom, DataDomain):
             self.data_domains.append((axiom.prop, axiom.cls))
         elif not isinstance(axiom, DataRange):  # datatype ranges carry no rule
@@ -837,14 +807,10 @@ class NaiveEngine(_Facts):
                 witness = witness_name(key)
                 self._witnesses[key] = witness
                 self.fresh.add(witness)
-            if isinstance(expr.role, Role):
-                self.add_role(individual, expr.role.iri, witness)
-            else:
-                self.add_role(witness, expr.role.iri, individual)
+            self.add_role(individual, expr.role.iri, witness)
             self.assert_expr(witness, expr.filler, key + ("filler",), True)
         elif isinstance(expr, MaxCard):
-            iri = self._named_role_iri(expr.role, "a cardinality restriction")
-            self.dynamic_limits.add((individual, expr.n, iri, expr.filler))
+            self.dynamic_limits.add((individual, expr.n, expr.role.iri, expr.filler))
         else:
             raise UnsupportedFeatureError(
                 "universal restrictions cannot be asserted")
@@ -945,35 +911,34 @@ def check_against_naive(ont: Ontology) -> None:
 
 ROLE_NAMES = (ex("r"), ex("s"))
 role_names = st.sampled_from(ROLE_NAMES)
-role_exprs = role_names.map(Role) | role_names.map(Inverse)
+named_roles = role_names.map(Role)
 named_classes = st.sampled_from(CLASS_NAMES[:3]).map(Named)
 class_exprs = st.recursive(
     named_classes | st.just(Thing()),
-    lambda inner: st.builds(Exists, role_exprs, inner)
+    lambda inner: st.builds(Exists, named_roles, inner)
     | st.lists(inner, min_size=2, max_size=3).map(lambda parts: And(tuple(parts)))
-    | st.builds(MaxCard, st.integers(0, 1), role_names.map(Role), inner)
-    | role_names.map(lambda r: ExistsSelf(Role(r))),
+    | st.builds(MaxCard, st.integers(0, 1), named_roles, inner)
+    | named_roles.map(ExistsSelf),
     max_leaves=4)
-several_existentials = st.lists(st.builds(Exists, role_exprs, class_exprs),
+several_existentials = st.lists(st.builds(Exists, named_roles, class_exprs),
                                 min_size=2, max_size=3).map(lambda ps: And(tuple(ps)))
 axioms = st.one_of(
     st.builds(SubClassOf, class_exprs, class_exprs),
     st.builds(SubClassOf, named_classes, several_existentials),
     st.builds(EquivalentClasses, named_classes, class_exprs),
-    st.builds(RoleChain, role_names.map(Role), role_names.map(Role),
-              role_names.map(Role)),
-    st.builds(SubRoleOf, role_exprs, role_exprs),
+    st.builds(RoleChain, named_roles, named_roles, named_roles),
+    st.builds(SubRoleOf, named_roles, named_roles),
     st.builds(InverseRoles, role_names, role_names),
     role_names.map(symmetric_axiom),
-    st.builds(Domain, role_exprs, class_exprs),
-    st.builds(Range, role_exprs, class_exprs),
+    st.builds(Domain, named_roles, class_exprs),
+    st.builds(Range, named_roles, class_exprs),
     st.builds(DataDomain, st.just(ex("d")), class_exprs),
     st.builds(DisjointClasses, class_exprs, class_exprs),
     st.builds(DisjointRoles, role_names, role_names),
     role_names.map(irreflexive_axiom),
     role_names.map(functional_axiom),
     st.builds(SubClassOf, class_exprs,
-              st.builds(MaxCard, st.integers(0, 2), role_names.map(Role), named_classes)))
+              st.builds(MaxCard, st.integers(0, 2), named_roles, named_classes)))
 individuals = st.sampled_from(INDIVIDUALS[:4])
 assertions = st.one_of(
     st.builds(ClassAssertion, individuals, class_exprs),

@@ -101,6 +101,11 @@ def test_no_match_yields_empty_sequence(conference):
     assert eval_steps([conference], steps_of("conference/missing")) == []
 
 
+def test_attribute_step_from_a_document_selects_nothing():
+    doc = parse_xml('<r a="1"/>')
+    assert eval_steps([doc], steps_of("@a")) == []
+
+
 def test_unprefixed_names_match_no_namespace_only():
     doc = parse_xml(f'<s:sparql xmlns:s="{SPQL}"/>')
     assert eval_steps([doc], steps_of("sparql")) == []
