@@ -41,7 +41,7 @@ from .errors import XqowlError
 from .functions import item_string
 from .hostlang import parse_program
 from .interpreter import Environment, evaluate
-from .owl import Named, load_ontology
+from .owl import Named, class_of_iri, load_ontology  # perfbench reads cli.Named
 from .rdf import RdfGraph, parse_rdfxml, rdf_from_document, write_sparql_results
 from .reasoner import Reasoner
 from .sparql import eval_select, parse_sparql
@@ -168,7 +168,7 @@ def cmd_reason(args: argparse.Namespace) -> int:
     ontology_file = _require_file(args.ontology)
     ont = load_ontology(parse_rdfxml(_read(ontology_file)))
     reasoner = Reasoner(ont, profile=args.profile)
-    classes = [_expand_iri(ont.iri, c) for c in args.classes]
+    classes = [class_of_iri(_expand_iri(ont.iri, c)) for c in args.classes]
     individuals = [_expand_iri(ont.iri, i) for i in args.individuals]
     prop = _expand_iri(ont.iri, args.property) if args.property else None
     task = args.task
@@ -177,10 +177,10 @@ def cmd_reason(args: argparse.Namespace) -> int:
         lines = [item_string(reasoner.is_consistent())]
     elif task == "instances":
         (cls,) = _exactly(classes, 1, "--class", task)
-        lines = sorted(reasoner.instances(Named(cls)))
+        lines = sorted(reasoner.instances(cls))
     elif task == "subclasses":
         (cls,) = _exactly(classes, 1, "--class", task)
-        lines = sorted(reasoner.subclasses(Named(cls), direct=args.direct))
+        lines = sorted(reasoner.subclasses(cls, direct=args.direct))
     elif task == "values":
         (ind,) = _exactly(individuals, 1, "--individual", task)
         if prop is None:
@@ -189,7 +189,7 @@ def cmd_reason(args: argparse.Namespace) -> int:
     elif task == "instance-of":
         (ind,) = _exactly(individuals, 1, "--individual", task)
         (cls,) = _exactly(classes, 1, "--class", task)
-        lines = [item_string(reasoner.is_instance_of(ind, Named(cls)))]
+        lines = [item_string(reasoner.is_instance_of(ind, cls))]
     elif task == "holds":
         subject, obj = _exactly(individuals, 2, "--individual", task)
         if prop is None:
@@ -197,7 +197,7 @@ def cmd_reason(args: argparse.Namespace) -> int:
         lines = [item_string(reasoner.holds(subject, prop, obj))]
     else:  # subsumed
         sub, sup = _exactly(classes, 2, "--class", task)
-        lines = [item_string(reasoner.is_subsumed(Named(sub), Named(sup)))]
+        lines = [item_string(reasoner.is_subsumed(sub, sup))]
 
     _deliver("\n".join(lines), args.output)
     return 0

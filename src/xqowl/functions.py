@@ -27,7 +27,7 @@ from typing import Callable
 
 from . import xmltree
 from .errors import EvalError
-from .owl import OWL_NS, Named, Ontology, axioms_to_xml, entities_to_xml
+from .owl import OWL_NS, Ontology, axioms_to_xml, class_of_iri, entities_to_xml
 from .rdf import RDF_NS, XSD_NS, rdf_from_document, write_sparql_results
 from .reasoner import Reasoner
 from .sparql import eval_select, parse_sparql
@@ -262,7 +262,7 @@ def _xq_consistent(env, reasoner: list) -> list:
 def _xq_instances(env, reasoner: list, cls: list) -> list:
     engine = reasoner_arg(reasoner, "xqowl:instances")
     iri = string_arg(cls, "xqowl:instances class")
-    found = sorted(engine.instances(Named(iri)))
+    found = sorted(engine.instances(class_of_iri(iri)))
     return entities_to_xml(found, QName(None, "instance"))
 
 
@@ -270,7 +270,7 @@ def _xq_instances(env, reasoner: list, cls: list) -> list:
 def _xq_subclasses(env, reasoner: list, cls: list) -> list:
     engine = reasoner_arg(reasoner, "xqowl:subclasses")
     iri = string_arg(cls, "xqowl:subclasses class")
-    found = sorted(engine.subclasses(Named(iri)))
+    found = sorted(engine.subclasses(class_of_iri(iri)))
     return entities_to_xml(found, QName(None, "subclass"))
 
 

@@ -98,6 +98,11 @@ class MaxCard:
 ClassExpr = Thing | Nothing | Named | And | Exists | ExistsSelf | MaxCard
 
 
+def class_of_iri(iri: str) -> ClassExpr:
+    """The class an IRI names: owl:Thing, owl:Nothing or a named class."""
+    return Thing() if iri == THING_IRI else Nothing() if iri == NOTHING_IRI else Named(iri)
+
+
 # -- axioms and assertions --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -402,10 +407,8 @@ class _OntologyLoader:
         if not isinstance(term, Iri):
             raise RdfParseError("a literal cannot appear in class position")
         iri = term.value
-        if iri == THING_IRI:
-            return Thing()
-        if iri == NOTHING_IRI:
-            return Nothing()
+        if iri in (THING_IRI, NOTHING_IRI):
+            return class_of_iri(iri)
         members = self.objects(iri, OWL_NS + "intersectionOf")
         if members:
             parts = tuple(self.class_expr(m) for m in self.read_list(members[0]))

@@ -6,9 +6,9 @@ inverse-of flips, of which a symmetric role r has InverseRoles(r, r),
 length-2 chains, domain/range, data-property domains), where every role
 is named.  Saturation is semi-naive: a role rule reads only the role facts
 added since it last ran, and a class rule, indexed by the names its
-left-hand side reads, checks an individual again only when such a fact is
-new; rules still fire in the naive order, on which witness creation
-depends.  Right-hand-side existentials get fresh witnesses, one per
+left-hand side reads, checks an individual only when such a fact is new,
+from the first round on; rules fire in the naive order, on which witness
+creation depends.  Right-hand-side existentials get fresh witnesses, one per
 (context, conjunct position) and named by a digest of it; witnesses never
 create further witnesses, which bounds the saturation.  Role facts are
 indexed by (individual, role, inverse?).  Clashes are collected as
@@ -19,9 +19,9 @@ filler, ...), nothing-membership (individual,).
 
 Named individuals are assumed pairwise distinct, so an over-full
 cardinality restriction is a clash rather than a merge.  Subsumption is
-decided on a canonical model: seed one fresh individual into the candidate
-subclass, saturate the TBox over it, and test membership in the candidate
-superclass (an inconsistent seed subsumes vacuously).
+decided on a canonical model: seed a fresh individual into the subclass,
+saturate, and test its membership in the superclass (a seed with a clash
+subsumes vacuously); subclass retrieval saturates one seed per class at once.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from .owl import (
     And, ClassAssertion, ClassExpr, DataDomain, DataRange, DisjointClasses,
     DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, InverseRoles,
     MaxCard, Named, Nothing, NOTHING_IRI, Ontology, Range, RoleAssertion, RoleChain,
-    SubClassOf, SubRoleOf, THING_IRI, Thing,
+    SubClassOf, SubRoleOf, Thing, class_of_iri,
 )
 from .rdf import Literal
-
-CANONICAL_INDIVIDUAL = "urn:canonical:x"
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,7 @@ class _Rules:
     triggers maps a class IRI, or (role IRI, False/None for a fact read at
     its subject/as a self-loop), to (rule, path): the class rules reading it
     and the roles stepped along from their individual to it.
+    bare: the class rules whose left-hand side holds where no fact is known.
     unstable: an asserted class has a cardinality bound, so asserting it
     twice can add facts (an existential's filler may stop holding).
     """
@@ -139,6 +138,9 @@ class _Rules:
         asserted = [rhs for _, rhs in self.class_rules] + [
             cls for classes in self.typing.values() for cls in classes]
         self.unstable = any(_mentions(cls, MaxCard) for cls in asserted)
+        empty = SaturatedAbox(set(), set(), set(), frozenset(), (), {})  # no fact known
+        self.bare = {rule for rule, (lhs, _) in enumerate(self.class_rules)
+                     if empty.check("", lhs)}
 
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
@@ -192,10 +194,10 @@ class _Rules:
 class _Engine(_Facts):
     """One saturation of an ontology's ABox under compiled rules.
 
-    _dirty holds per class rule the individuals to check again, where a fact
-    its left-hand side reads is new. The first round checks every individual,
-    and so does every round of unstable rules: only their firing twice on an
-    individual can add facts.
+    _dirty holds per class rule the individuals to check, where a fact its
+    left-hand side reads is new (only such a fact makes it true, bar bare
+    rules, which check each individual once); unstable rules check every
+    individual every round: only their firing twice on one can add facts.
     """
 
     def __init__(self, rules: _Rules, ont: Ontology):
@@ -204,7 +206,8 @@ class _Engine(_Facts):
         self.fresh, self.dynamic_limits, self._index = set(), set(), defaultdict(set)
         self._log: list[tuple[str, str, str]] = []  # role facts in the order added
         self._read = [0] * (len(rules.chains) + 2)  # read of _log: flips, chains, typing
-        self._dirty = [set() for _ in rules.class_rules]
+        self._dirty = [set(self.named) if rule in rules.bare else set()
+                       for rule in range(len(rules.class_rules))]
         # class assertions first, in repr order, as witnesses depend on it
         classes = sorted((a for a in ont.abox if isinstance(a, ClassAssertion)), key=repr)
         for index, fact in enumerate(classes):
@@ -256,8 +259,8 @@ class _Engine(_Facts):
             witness = witness_name(key)
             if witness not in self.fresh:
                 self.fresh.add(witness)
-                for dirty in self._dirty:
-                    dirty.add(witness)
+                for rule in self.rules.bare:
+                    self._dirty[rule].add(witness)
             self.add_role(individual, expr.role.iri, witness)
             self.assert_expr(witness, expr.filler, key + ("filler",), True)
         elif isinstance(expr, MaxCard):
@@ -298,7 +301,7 @@ class _Engine(_Facts):
                     if first_round or rules.unstable else ():
                 self._type(subject, prop, "data-domain")
             for index, (lhs, rhs) in enumerate(rules.class_rules):
-                dirty, every = self._dirty[index], first_round or rules.unstable
+                dirty, every = self._dirty[index], rules.unstable
                 if (dirty or every) and len(pool) < len(self.named) + len(self.fresh):
                     pool = sorted(self.named) + sorted(self.fresh)
                 # what firing adds for an individual later in the pool is seen now
@@ -348,8 +351,8 @@ class Reasoner:
     """Reasoning facade over one immutable ontology.
 
     The compiled TBox, the saturation and each class expression's canonical
-    model are memoized per instance; the accepted backend profile names are
-    interchangeable labels kept only for reporting.
+    model (all named classes' from one saturation) are memoized per instance;
+    the backend profile names are interchangeable labels kept for reporting.
     """
 
     PROFILES = ("hermit", "pellet", "fact")
@@ -359,7 +362,7 @@ class Reasoner:
             raise ValueError(f"unknown reasoner profile {profile!r}; "
                              f"expected one of {', '.join(self.PROFILES)}")
         self.ontology, self.profile = ont, profile
-        self._models: dict[ClassExpr, SaturatedAbox] = {}
+        self._models: dict[ClassExpr, tuple[SaturatedAbox, str, bool]] = {}
 
     @cached_property
     def _rules(self) -> _Rules:
@@ -393,30 +396,49 @@ class Reasoner:
     def property_values(self, subject: str, role: str) -> set[str]:
         return self.saturation.named_fillers(subject, role, Thing())
 
+    def _saturate_seeds(self, exprs: list[ClassExpr]) -> None:
+        """Saturate one seed per class expression together; keep each one's model."""
+        seeds = [f"urn:canonical:{index}" for index in range(len(exprs))]
+        abox = frozenset(map(ClassAssertion, seeds, exprs))
+        model = saturate(Ontology(self.ontology.iri, self.ontology.tbox, abox), self._rules)
+        # Seeds share no role fact or witness (a witness's key holds the individual
+        # it serves; ROADMAP direction 6b's shared witnesses would break this), so a
+        # clash belongs to the seed whose role-connected component holds its first culprit.
+        parent: dict[str, str] = {}
+
+        def root(node: str) -> str:
+            while parent.get(node, node) != node:
+                node = parent[node]
+            return node
+        for subject, _, obj in model.role_facts:
+            parent[root(subject)] = root(obj)
+        clashed = {root(clash.culprits[0]) for clash in model.clashes}
+        for expr, seed in zip(exprs, seeds):
+            self._models.setdefault(expr, (model, seed, root(seed) in clashed))
+
     def is_subsumed(self, sub: ClassExpr, sup: ClassExpr) -> bool:
-        model = self._models.get(sub)
-        if model is None:
-            canonical = Ontology(
-                iri=self.ontology.iri, tbox=self.ontology.tbox,
-                abox=frozenset({ClassAssertion(CANONICAL_INDIVIDUAL, sub)}))
-            model = self._models[sub] = saturate(canonical, self._rules)
-        return bool(model.clashes) or model.check(CANONICAL_INDIVIDUAL, sup)
+        if sub not in self._models:
+            self._saturate_seeds([sub])
+        model, seed, clashed = self._models[sub]
+        return clashed or model.check(seed, sup)
+
+    @cached_property
+    def _classes(self) -> dict[str, ClassExpr]:
+        """Named classes and owl:Nothing, given canonical models by one saturation."""
+        classes = {iri: class_of_iri(iri)
+                   for iri in sorted(self.ontology.named_classes() | {NOTHING_IRI})}
+        self._saturate_seeds(list(classes.values()))
+        return classes
 
     def subclasses(self, expr: ClassExpr, direct: bool = False) -> set[str]:
+        classes = self._classes
         skip = expr.iri if isinstance(expr, (Named, Nothing)) else None
-        candidates = sorted(self.ontology.named_classes() | {NOTHING_IRI})
-        subs = {iri for iri in candidates
-                if iri != skip and self.is_subsumed(self._as_expr(iri), expr)}
+        subs = {iri for iri, cls in classes.items()
+                if iri != skip and self.is_subsumed(cls, expr)}
         if not direct:
             return subs
         return {iri for iri in subs if not any(  # strictly below another
-            other != iri
-            and self.is_subsumed(self._as_expr(iri), self._as_expr(other))
-            and not self.is_subsumed(self._as_expr(other), self._as_expr(iri))
-            and not self.is_subsumed(expr, self._as_expr(other))
+            other != iri and self.is_subsumed(classes[iri], classes[other])
+            and not self.is_subsumed(classes[other], classes[iri])
+            and not self.is_subsumed(expr, classes[other])
             for other in subs)}
-
-    @staticmethod
-    def _as_expr(iri: str) -> ClassExpr:
-        return Nothing() if iri == NOTHING_IRI else \
-            Thing() if iri == THING_IRI else Named(iri)

@@ -356,6 +356,30 @@ class TestReason:
                                "--class", "event", "--class", "popular_event")
         assert out == "false\n"
 
+    def test_owl_thing_holds_every_individual(self, capsys):
+        code, out, _ = run_cli(capsys, "reason", "--task", "instances",
+                               "--ontology", fx("socialnetwork.owl"),
+                               "--class", OWL_NS + "Thing")
+        assert code == 0
+        ont = load_ontology(parse_rdfxml(fixture_text("socialnetwork.owl")))
+        assert out.splitlines() == sorted(ont.all_individuals())
+        assert len(out.splitlines()) == 10
+
+    def test_every_class_is_subsumed_by_owl_thing(self, capsys):
+        code, out, _ = run_cli(capsys, "reason", "--task", "subsumed",
+                               "--ontology", fx("socialnetwork.owl"),
+                               "--class", "user", "--class", OWL_NS + "Thing")
+        assert code == 0
+        assert out == "true\n"
+
+    def test_direct_subclasses_of_owl_thing_are_the_top_classes(self, capsys):
+        code, out, _ = run_cli(capsys, "reason", "--task", "subclasses",
+                               "--ontology", fx("socialnetwork.owl"),
+                               "--class", OWL_NS + "Thing", "--direct")
+        assert code == 0
+        assert out.splitlines() == [SN + c for c in ("activity", "popular", "user",
+                                                     "user_item")]
+
     def test_profile_selection(self, capsys):
         code, out, _ = run_cli(capsys, "reason", "--task", "consistent",
                                "--ontology", fx("socialnetwork.owl"),

@@ -573,6 +573,14 @@ class TestReasonerBuiltins:
         assert [el.name.local for el in result] == ["instance", "instance"]
         assert texts(result) == [SN + "event1", SN + "message2"]
 
+    def test_owl_thing_is_the_top_class(self):
+        reasoner = "xqowl:reasoner(xqowl:load('socialnetwork.owl'), 'hermit')"
+        thing = "'http://www.w3.org/2002/07/owl#Thing'"
+        instances = run_text(f"xqowl:instances({reasoner}, {thing})", base_dir=FIXTURES)
+        assert len(instances) == 10
+        subclasses = run_text(f"xqowl:subclasses({reasoner}, {thing})", base_dir=FIXTURES)
+        assert {SN + "user", SN + "popular_event"} <= set(texts(subclasses))
+
     def test_handles_do_not_atomize(self):
         with pytest.raises(EvalError):
             run_text("data(xqowl:load('socialnetwork.owl'))",
