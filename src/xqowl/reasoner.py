@@ -11,11 +11,11 @@ from the first round on; rules fire in the naive order, on which witness
 creation depends.  Right-hand-side existentials get fresh witnesses, one per
 (context, conjunct position) and named by a digest of it; witnesses never
 create further witnesses, which bounds the saturation.  Role facts are
-indexed by (individual, role, inverse?).  Clashes are collected as
-ClashReport values after the fixpoint, never raised: disjoint-classes
-(individual, class, class), disjoint-roles (subject, role, role, object),
-irreflexive (individual, role), max-cardinality (individual, role,
-filler, ...), nothing-membership (individual,).
+indexed by (individual, role, inverse?).  After the fixpoint, clashes are
+looked up there and in the members of the classes clash axioms name, never
+raised: disjoint-classes (individual, class, class), disjoint-roles (subject,
+role, role, object), irreflexive (individual, role), max-cardinality
+(individual, role, filler, ...), nothing-membership (individual,).
 
 Named individuals are assumed pairwise distinct, so an over-full
 cardinality restriction is a clash rather than a merge.  Subsumption is
@@ -129,15 +129,17 @@ class _Rules:
     """
 
     def __init__(self, tbox) -> None:
-        self.class_rules, self.chains, self.static_limits = [], [], []
-        self.disjoint_classes, self.disjoint_roles, self.irreflexive = [], [], set()
-        self.subroles, self.flips = defaultdict(list), defaultdict(list)
+        self.class_rules, self.chains, self.disjoint_classes = [], [], []
+        self.subroles, self.flips, self.irreflexive = defaultdict(list), defaultdict(list), []
+        self.static_limits, self.disjoint_roles = defaultdict(list), defaultdict(list)
         self.typing, self.triggers = defaultdict(list), defaultdict(list)
         for axiom in sorted(tbox, key=repr):
             self._compile(axiom)
         asserted = [rhs for _, rhs in self.class_rules] + [
             cls for classes in self.typing.values() for cls in classes]
         self.unstable = any(_mentions(cls, MaxCard) for cls in asserted)
+        self.clash_roles = {*self.irreflexive, *self.static_limits, *self.disjoint_roles}
+        self.clash_classes = {NOTHING_IRI}.union(*(c[2] for c in self.disjoint_classes))
         empty = SaturatedAbox(set(), set(), set(), frozenset(), (), {})  # no fact known
         self.bare = {rule for rule, (lhs, _) in enumerate(self.class_rules)
                      if empty.check("", lhs)}
@@ -145,10 +147,10 @@ class _Rules:
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
             if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sup, Nothing):
-                self.irreflexive.add(axiom.sub.role.iri)
+                self.irreflexive.append(axiom.sub.role.iri)
             elif isinstance(axiom.sup, MaxCard):
-                self.static_limits.append((axiom.sub, axiom.sup.n, axiom.sup.role.iri,
-                                           axiom.sup.filler))
+                self.static_limits[axiom.sup.role.iri].append((axiom.sub, axiom.sup.n,
+                                                               axiom.sup.filler))
             else:
                 self._class_rule(axiom.sub, axiom.sup)
         elif isinstance(axiom, EquivalentClasses):
@@ -163,9 +165,10 @@ class _Rules:
             if axiom.right != axiom.left:  # a symmetric role flips once
                 self.flips[axiom.right].append(axiom.left)
         elif isinstance(axiom, DisjointClasses):
-            self.disjoint_classes.append((axiom.left, axiom.right))
+            self.disjoint_classes.append((axiom.left, axiom.right, [side.iri for side in (
+                axiom.left, axiom.right) if isinstance(side, (Named, Nothing))]))
         elif isinstance(axiom, DisjointRoles):
-            self.disjoint_roles.append((axiom.left, axiom.right))
+            self.disjoint_roles[axiom.left].append(axiom.right)
         elif isinstance(axiom, (Domain, Range)):
             side = "domain" if isinstance(axiom, Domain) else "range"
             self.typing[axiom.role.iri, side].append(axiom.cls)
@@ -316,19 +319,26 @@ class _Engine(_Facts):
                 return
 
     def collect_clashes(self) -> tuple[ClashReport, ...]:
-        rules, pool, facts = self.rules, self.named | self.fresh, self.role_facts
-        found = {("nothing-membership", (a,)) for a, c in self.class_facts
-                 if c == NOTHING_IRI}
-        found |= {("irreflexive", (s, r)) for s, r, o in facts
-                  if s == o and r in rules.irreflexive}
-        found |= {("disjoint-classes", (a, display_class(left), display_class(right)))
-                  for left, right in rules.disjoint_classes for a in pool
-                  if self.check(a, left) and self.check(a, right)}
-        found |= {("disjoint-roles", (s, role_a, role_b, o))
-                  for role_a, role_b in rules.disjoint_roles
-                  for s, r, o in facts if r == role_a and (s, role_b, o) in facts}
-        limits = [(a, bound, role, filler) for context, bound, role, filler
-                  in rules.static_limits for a in pool if self.check(a, context)]
+        rules, by_role, members = self.rules, defaultdict(dict), defaultdict(list)
+        for (s, r, inverse), objects in self._index.items():
+            if not inverse and r in rules.clash_roles:
+                by_role[r][s] = objects  # s's neighbours over r
+        for a, c in self.class_facts:
+            if c in rules.clash_classes:
+                members[c].append(a)
+        found = {("nothing-membership", (a,)) for a in members[NOTHING_IRI]}
+        found |= {("irreflexive", (s, r)) for r in rules.irreflexive
+                  for s, objects in by_role[r].items() if s in objects}
+        for left, right, sides in rules.disjoint_classes:  # a named side's members, or all
+            pool = min([members[c] for c in sides] or [self.named | self.fresh], key=len)
+            found |= {("disjoint-classes", (a, display_class(left), display_class(right)))
+                      for a in pool if self.check(a, left) and self.check(a, right)}
+        found |= {("disjoint-roles", (s, p, q, o)) for p, qs in rules.disjoint_roles.items()
+                  for q in qs for s, objects in by_role[p].items()
+                  for o in objects if (s, q, o) in self.role_facts}
+        limits = [(a, bound, role, filler) for role, bounds in rules.static_limits.items()
+                  for context, bound, filler in bounds for a, objects in by_role[role].items()
+                  if len(objects) > bound and self.check(a, context)]  # fillers ⊆ objects
         for a, bound, role, filler in limits + list(self.dynamic_limits):
             fillers = sorted(self.named_fillers(a, role, filler))
             if len(fillers) > bound:
@@ -427,7 +437,7 @@ class Reasoner:
         """Named classes and owl:Nothing, given canonical models by one saturation."""
         classes = {iri: class_of_iri(iri)
                    for iri in sorted(self.ontology.named_classes() | {NOTHING_IRI})}
-        self._saturate_seeds(list(classes.values()))
+        self._saturate_seeds([*classes.values(), Thing()])  # Thing's for the direct filter
         return classes
 
     def subclasses(self, expr: ClassExpr, direct: bool = False) -> set[str]:

@@ -212,6 +212,64 @@ class TestClashKinds:
         assert len(sat.clashes) == 2
         assert sat.clash == sat.clashes[0]
 
+    def test_functional_role_without_facts_is_no_clash(self):
+        ont = ont_of(tbox={functional_axiom(ex("p"))},
+                     abox={ClassAssertion(ex("a"), Named(ex("A"))),
+                           RoleAssertion(ex("b"), ex("p"), ex("c"))})
+        assert saturate(ont).clashes == ()
+
+    def test_cardinality_clashes_only_past_its_bound(self):
+        tbox = {SubClassOf(Named(ex("C")), MaxCard(2, Role(ex("p")), Thing()))}
+        abox = {ClassAssertion(ex("a"), Named(ex("C"))),
+                RoleAssertion(ex("a"), ex("p"), ex("b1")),
+                RoleAssertion(ex("a"), ex("p"), ex("b2"))}
+        assert saturate(ont_of(tbox, abox)).clashes == ()
+        abox.add(RoleAssertion(ex("a"), ex("p"), ex("b3")))
+        assert saturate(ont_of(tbox, abox)).clashes == (
+            ClashReport("max-cardinality",
+                        (ex("a"), ex("p"), ex("b1"), ex("b2"), ex("b3"))),)
+
+    def test_a_witness_neighbour_is_not_a_filler(self):
+        ont = ont_of(
+            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B")))),
+                  functional_axiom(ex("p"))},
+            abox={ClassAssertion(ex("a"), Named(ex("A"))),
+                  RoleAssertion(ex("a"), ex("p"), ex("b"))})
+        sat = saturate(ont)
+        assert len(sat.neighbours(ex("a"), ex("p"), False)) == 2
+        assert sat.clashes == ()
+
+    def test_disjoint_classes_with_no_named_side(self):
+        left = Exists(Role(ex("r")), Named(ex("A")))
+        right = Exists(Role(ex("s")), Named(ex("B")))
+        ont = ont_of(
+            tbox={DisjointClasses(left, right)},
+            abox={RoleAssertion(ex("a"), ex("r"), ex("b")),
+                  ClassAssertion(ex("b"), Named(ex("A"))),
+                  RoleAssertion(ex("a"), ex("s"), ex("c")),
+                  ClassAssertion(ex("c"), Named(ex("B"))),
+                  RoleAssertion(ex("d"), ex("r"), ex("b"))})
+        assert saturate(ont).clashes == (
+            ClashReport("disjoint-classes",
+                        (ex("a"), display_class(left), display_class(right))),)
+
+    def test_a_witness_in_nothing(self):
+        ont = ont_of(
+            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B")))),
+                  SubClassOf(Named(ex("B")), Nothing())},
+            abox={ClassAssertion(ex("a"), Named(ex("A")))})
+        sat = saturate(ont)
+        (witness,) = sat.fresh
+        assert sat.clashes == (ClashReport("nothing-membership", (witness,)),)
+
+    def test_disjoint_roles_through_a_sub_role(self):
+        ont = ont_of(
+            tbox={DisjointRoles(ex("p"), ex("q")), SubRoleOf(Role(ex("s")), Role(ex("q")))},
+            abox={RoleAssertion(ex("a"), ex("p"), ex("b")),
+                  RoleAssertion(ex("a"), ex("s"), ex("b"))})
+        assert saturate(ont).clashes == (
+            ClashReport("disjoint-roles", (ex("a"), ex("p"), ex("q"), ex("b"))),)
+
 
 class TestWitnesses:
     def test_unsatisfied_existential_introduces_one_witness(self):
@@ -590,6 +648,10 @@ class TestSharedCanonicalModels:
                 fresh, before = Reasoner(ont), len(calls)
                 assert answer == fresh.subclasses(Named(c), direct=direct)
                 assert len(calls) - before <= 1
+            fresh, before = Reasoner(ont), len(calls)
+            assert fresh.subclasses(Thing(), direct=True) == \
+                shared.subclasses(Thing(), direct=True)
+            assert len(calls) - before == 1
 
 
 class TestReasonerFacade:
@@ -1039,6 +1101,10 @@ class TestAgainstNaiveLoop:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_ontology(self, seed):
         check_against_naive(random_ontology(random.Random(seed)))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_generated_ontology(self, seed):
+        check_against_naive(generated_ontology(random.Random(seed)))
 
 
 class TestBareLeftSides:
