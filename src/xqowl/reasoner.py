@@ -1,7 +1,7 @@
 """Forward-chaining reasoner over the supported ontology fragment.
 
-The ABox is saturated to a least fixpoint under Horn rules compiled, once
-per Reasoner, from the TBox (subclass/equivalence, role hierarchy,
+A Reasoner saturates its ABox to a least fixpoint under Horn rules compiled,
+once per ontology, from the TBox (subclass/equivalence, role hierarchy,
 inverse-of flips, of which a symmetric role r has InverseRoles(r, r),
 length-2 chains, domain/range, data-property domains), where every role
 is named.  Saturation is semi-naive: a role rule reads only the role facts
@@ -27,6 +27,7 @@ subsumes vacuously); subclass retrieval saturates one seed per class at once.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -117,7 +118,7 @@ def witness_name(key: tuple) -> str:
 
 
 class _Rules:
-    """A TBox sorted once by repr and compiled once.
+    """A TBox sorted once by repr and compiled once, then shared read-only.
 
     typing maps (property, "domain"/"range"/"data-domain") to classes.
     triggers maps a class IRI, or (role IRI, False/None for a fact read at
@@ -143,6 +144,8 @@ class _Rules:
         empty = SaturatedAbox(set(), set(), set(), frozenset(), (), {})  # no fact known
         self.bare = {rule for rule, (lhs, _) in enumerate(self.class_rules)
                      if empty.check("", lhs)}
+        for name in "subroles", "flips", "typing", "triggers", "static_limits", "disjoint_roles":
+            setattr(self, name, dict(getattr(self, name)))  # so a lookup adds no key
 
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
@@ -352,17 +355,30 @@ class _Engine(_Facts):
                              self._index)
 
 
+_SHARED: weakref.WeakKeyDictionary[Ontology, dict] = weakref.WeakKeyDictionary()
+
+
+def _shared(ont: Ontology, part: str):
+    """ont's compiled TBox ("rules") or sorted class IRIs ("classes"), made once
+    per live ontology for all its Reasoners; a compile that raises stores nothing."""
+    parts = _SHARED.setdefault(ont, {})
+    if part not in parts:
+        parts[part] = _Rules(ont.tbox) if part == "rules" else sorted(
+            ont.named_classes() | {NOTHING_IRI})
+    return parts[part]
+
+
 def saturate(ont: Ontology, rules: _Rules | None = None) -> SaturatedAbox:
     """Close the ABox under ont.tbox, or rules compiled from it, and collect clashes."""
-    return _Engine(_Rules(ont.tbox) if rules is None else rules, ont).result()
+    return _Engine(_shared(ont, "rules") if rules is None else rules, ont).result()
 
 
 class Reasoner:
     """Reasoning facade over one immutable ontology.
 
-    The compiled TBox, the saturation and each class expression's canonical
-    model (all named classes' from one saturation) are memoized per instance;
-    the backend profile names are interchangeable labels kept for reporting.
+    The compiled TBox is shared per ontology; the saturation and each class
+    expression's canonical model (all named classes' from one saturation) are
+    memoized per instance.  Profile names are interchangeable report labels.
     """
 
     PROFILES = ("hermit", "pellet", "fact")
@@ -376,7 +392,7 @@ class Reasoner:
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _Rules(self.ontology.tbox)
+        return _shared(self.ontology, "rules")
 
     @cached_property
     def saturation(self) -> SaturatedAbox:
@@ -435,8 +451,7 @@ class Reasoner:
     @cached_property
     def _classes(self) -> dict[str, ClassExpr]:
         """Named classes and owl:Nothing, given canonical models by one saturation."""
-        classes = {iri: class_of_iri(iri)
-                   for iri in sorted(self.ontology.named_classes() | {NOTHING_IRI})}
+        classes = {iri: class_of_iri(iri) for iri in _shared(self.ontology, "classes")}
         self._saturate_seeds([*classes.values(), Thing()])  # Thing's for the direct filter
         return classes
 

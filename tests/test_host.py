@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, assert_document_order, fixture_text, steps_of
+from xqowl import reasoner as reasoner_module
 from xqowl.errors import EvalError, HostSyntaxError, SparqlSyntaxError
 from xqowl.functions import OntologyHandle, ReasonerHandle
 from xqowl.hostlang import (
@@ -580,6 +582,25 @@ class TestReasonerBuiltins:
         assert len(instances) == 10
         subclasses = run_text(f"xqowl:subclasses({reasoner}, {thing})", base_dir=FIXTURES)
         assert {SN + "user", SN + "popular_event"} <= set(texts(subclasses))
+
+    def test_reasoners_of_every_profile_share_one_compiled_tbox(self, monkeypatch):
+        """One loaded ontology, asked through each profile's reasoner: one
+        answer, from one compile of its TBox."""
+        compiled, rules = [], reasoner_module._Rules
+        monkeypatch.setattr(reasoner_module, "_SHARED", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(reasoner_module, "_Rules",
+                            lambda tbox: compiled.append(tbox) or rules(tbox))
+        result = run_text(f"""
+            let $ont := xqowl:load("socialnetwork.owl")
+            return for $profile in ("hermit", "pellet", "fact")
+            return <subclasses profile="{{$profile}}">{{
+                for $class in xqowl:subclasses(xqowl:reasoner($ont, $profile), "{SN}activity")
+                return <class>{{substring-after($class, "#")}}</class>
+            }}</subclasses>""", base_dir=FIXTURES)
+        classes = ["event", "message", "popular_event", "popular_message", "Nothing"]
+        assert [(el.attributes[0].value, texts(child_elements(el)))
+                for el in result] == [(p, classes) for p in ("hermit", "pellet", "fact")]
+        assert len(compiled) == 1
 
     def test_handles_do_not_atomize(self):
         with pytest.raises(EvalError):

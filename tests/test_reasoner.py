@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import random
-from dataclasses import replace
+import weakref
+from collections import defaultdict
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -652,6 +656,87 @@ class TestSharedCanonicalModels:
             assert fresh.subclasses(Thing(), direct=True) == \
                 shared.subclasses(Thing(), direct=True)
             assert len(calls) - before == 1
+
+
+def tbox_answers(reasoner: Reasoner) -> tuple:
+    """The saturation and every named class's subclasses, direct and not."""
+    classes = sorted(reasoner.ontology.named_classes() | {NOTHING_IRI})
+    return reasoner.saturation, {(iri, direct): reasoner.subclasses(class_of_iri(iri), direct)
+                                 for iri in classes for direct in (False, True)}
+
+
+@dataclass(frozen=True)
+class TransitiveRole:
+    """A property axiom outside the supported fragment."""
+    role: Role
+
+
+class TestSharedCompiledTbox:
+    """Every Reasoner on one ontology reads one compiled TBox, and answers as
+    a Reasoner with a TBox compiled for it alone."""
+
+    @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl"])
+    def test_reasoners_of_every_profile_compile_once(self, source, monkeypatch):
+        ont = load_ontology(parse_rdfxml(fixture_text(source)))
+        compiled, rules = [], reasoner_module._Rules
+        monkeypatch.setattr(reasoner_module, "_SHARED", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(reasoner_module, "_Rules",
+                            lambda tbox: compiled.append(tbox) or rules(tbox))
+        listed, named_classes = [], Ontology.named_classes
+        monkeypatch.setattr(Ontology, "named_classes",
+                            lambda self: listed.append(self) or named_classes(self))
+        for profile in (Reasoner.PROFILES * 2)[:5]:
+            reasoner = Reasoner(ont, profile)
+            reasoner.is_consistent()
+            reasoner.subclasses(Thing(), direct=True)
+        assert saturate(ont) == reasoner.saturation  # module-level saturate shares it too
+        assert len(compiled) == 1 and len(listed) == 1
+
+    @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl", "random"])
+    def test_shared_answers_equal_a_fresh_compile(self, source):
+        onts = [load_ontology(parse_rdfxml(fixture_text(source)))] \
+            if source.endswith(".owl") else \
+            [random_ontology(random.Random(seed)) for seed in range(50)]
+        for ont in onts:
+            shared = [Reasoner(ont, profile) for profile in Reasoner.PROFILES]
+            fresh = Reasoner(ont)
+            fresh._rules = reasoner_module._Rules(ont.tbox)
+            assert all(r._rules is shared[0]._rules is not fresh._rules for r in shared)
+            expected = tbox_answers(fresh)
+            for reasoner in shared:
+                assert tbox_answers(reasoner) == expected
+
+    def test_an_unsupported_tbox_raises_for_every_reasoner(self):
+        ont = ont_of(tbox={SubClassOf(Named(ex("A")), Named(ex("B"))),
+                           TransitiveRole(Role(ex("r")))})
+        messages = []
+        for profile in ("hermit", "pellet"):
+            with pytest.raises(UnsupportedFeatureError) as err:
+                Reasoner(ont, profile).is_consistent()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and "TransitiveRole" in messages[0]
+        assert "rules" not in reasoner_module._SHARED.get(ont, {})
+
+    def test_the_shared_tbox_does_not_keep_its_ontology_alive(self):
+        ont = replace(random_ontology(random.Random(0)), iri="urn:test:collected")
+        Reasoner(ont).subclasses(Thing())
+        assert ont in reasoner_module._SHARED
+        collected = weakref.ref(ont)
+        del ont
+        gc.collect()
+        assert collected() is None
+
+    def test_shared_rules_are_read_only(self, social):
+        """Saturating two ABoxes under one TBox through shared rules leaves
+        them as compiled, and no table of theirs adds a key on lookup."""
+        rules = reasoner_module._Rules(social.tbox)
+        snapshot = copy.deepcopy(vars(rules))
+        seeded = replace(social, abox=frozenset(
+            ClassAssertion(f"urn:seed:{iri}", Named(iri)) for iri in social.named_classes()))
+        for ont in (social, seeded):
+            assert saturate(ont, rules) == saturate(ont, reasoner_module._Rules(ont.tbox))
+        assert vars(rules) == snapshot
+        assert not any(isinstance(table, defaultdict) for table in vars(rules).values())
 
 
 class TestReasonerFacade:
