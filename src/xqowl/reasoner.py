@@ -355,22 +355,21 @@ class _Engine(_Facts):
                              self._index)
 
 
-_SHARED: weakref.WeakKeyDictionary[Ontology, dict] = weakref.WeakKeyDictionary()
+def _per_ontology(make):
+    """make(ont) made once per live ontology, on first use, for all its
+    Reasoners, as a host loop builds a reasoner per item on one loaded
+    ontology; equal ontologies share it, and a make that raises stores nothing."""
+    made = weakref.WeakKeyDictionary()
+    return lambda ont: made[ont] if ont in made else made.setdefault(ont, make(ont))
 
 
-def _shared(ont: Ontology, part: str):
-    """ont's compiled TBox ("rules") or sorted class IRIs ("classes"), made once
-    per live ontology for all its Reasoners; a compile that raises stores nothing."""
-    parts = _SHARED.setdefault(ont, {})
-    if part not in parts:
-        parts[part] = _Rules(ont.tbox) if part == "rules" else sorted(
-            ont.named_classes() | {NOTHING_IRI})
-    return parts[part]
+_compiled_tbox = _per_ontology(lambda ont: _Rules(ont.tbox))
+_class_iris = _per_ontology(lambda ont: sorted(ont.named_classes() | {NOTHING_IRI}))
 
 
 def saturate(ont: Ontology, rules: _Rules | None = None) -> SaturatedAbox:
     """Close the ABox under ont.tbox, or rules compiled from it, and collect clashes."""
-    return _Engine(_shared(ont, "rules") if rules is None else rules, ont).result()
+    return _Engine(_compiled_tbox(ont) if rules is None else rules, ont).result()
 
 
 class Reasoner:
@@ -392,7 +391,7 @@ class Reasoner:
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _shared(self.ontology, "rules")
+        return _compiled_tbox(self.ontology)
 
     @cached_property
     def saturation(self) -> SaturatedAbox:
@@ -451,7 +450,7 @@ class Reasoner:
     @cached_property
     def _classes(self) -> dict[str, ClassExpr]:
         """Named classes and owl:Nothing, given canonical models by one saturation."""
-        classes = {iri: class_of_iri(iri) for iri in _shared(self.ontology, "classes")}
+        classes = {iri: class_of_iri(iri) for iri in _class_iris(self.ontology)}
         self._saturate_seeds([*classes.values(), Thing()])  # Thing's for the direct filter
         return classes
 

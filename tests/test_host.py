@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +34,16 @@ PROGRAMS = ("example1.xq", "lowering.xq", "object_properties.xq",
 
 def run_text(source: str, **env_args) -> list:
     return evaluate(parse_program(source), Environment(**env_args))
+
+
+@pytest.fixture
+def compiled(monkeypatch) -> list:
+    """The ontologies whose TBox is compiled while a test runs, through a
+    memo of the test's own."""
+    ontologies, rules = [], reasoner_module._Rules
+    monkeypatch.setattr(reasoner_module, "_compiled_tbox", reasoner_module._per_ontology(
+        lambda ont: ontologies.append(ont) or rules(ont.tbox)))
+    return ontologies
 
 
 def run_fixture(name: str, context: str | None = None,
@@ -583,13 +592,9 @@ class TestReasonerBuiltins:
         subclasses = run_text(f"xqowl:subclasses({reasoner}, {thing})", base_dir=FIXTURES)
         assert {SN + "user", SN + "popular_event"} <= set(texts(subclasses))
 
-    def test_reasoners_of_every_profile_share_one_compiled_tbox(self, monkeypatch):
+    def test_reasoners_of_every_profile_share_one_compiled_tbox(self, compiled):
         """One loaded ontology, asked through each profile's reasoner: one
         answer, from one compile of its TBox."""
-        compiled, rules = [], reasoner_module._Rules
-        monkeypatch.setattr(reasoner_module, "_SHARED", weakref.WeakKeyDictionary())
-        monkeypatch.setattr(reasoner_module, "_Rules",
-                            lambda tbox: compiled.append(tbox) or rules(tbox))
         result = run_text(f"""
             let $ont := xqowl:load("socialnetwork.owl")
             return for $profile in ("hermit", "pellet", "fact")
@@ -742,8 +747,9 @@ class TestPrograms:
     def test_consistency_program(self):
         assert run_fixture("consistency.xq") == [True]
 
-    def test_instances_program(self):
+    def test_instances_program(self, compiled):
         result = run_fixture("instances.xq")
+        assert len(compiled) == 1  # a reasoner per class, on one loaded ontology
         groups = {el.attributes[0].value:
                   {string_value(c) for c in child_elements(el)}
                   for el in result}

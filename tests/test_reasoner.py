@@ -677,9 +677,10 @@ class TestSharedCompiledTbox:
 
     @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl"])
     def test_reasoners_of_every_profile_compile_once(self, source, monkeypatch):
-        ont = load_ontology(parse_rdfxml(fixture_text(source)))
+        # an IRI of its own, so no equal ontology of another test shares its entry
+        ont = replace(load_ontology(parse_rdfxml(fixture_text(source))),
+                      iri=f"urn:test:compile-once:{source}")
         compiled, rules = [], reasoner_module._Rules
-        monkeypatch.setattr(reasoner_module, "_SHARED", weakref.WeakKeyDictionary())
         monkeypatch.setattr(reasoner_module, "_Rules",
                             lambda tbox: compiled.append(tbox) or rules(tbox))
         listed, named_classes = [], Ontology.named_classes
@@ -706,21 +707,23 @@ class TestSharedCompiledTbox:
             for reasoner in shared:
                 assert tbox_answers(reasoner) == expected
 
-    def test_an_unsupported_tbox_raises_for_every_reasoner(self):
+    def test_an_unsupported_tbox_raises_for_every_reasoner(self, monkeypatch):
         ont = ont_of(tbox={SubClassOf(Named(ex("A")), Named(ex("B"))),
                            TransitiveRole(Role(ex("r")))})
+        compiled, rules = [], reasoner_module._Rules
+        monkeypatch.setattr(reasoner_module, "_Rules",
+                            lambda tbox: compiled.append(tbox) or rules(tbox))
         messages = []
         for profile in ("hermit", "pellet"):
             with pytest.raises(UnsupportedFeatureError) as err:
                 Reasoner(ont, profile).is_consistent()
             messages.append(str(err.value))
         assert messages[0] == messages[1] and "TransitiveRole" in messages[0]
-        assert "rules" not in reasoner_module._SHARED.get(ont, {})
+        assert len(compiled) == 2  # the failed compile was not stored
 
     def test_the_shared_tbox_does_not_keep_its_ontology_alive(self):
         ont = replace(random_ontology(random.Random(0)), iri="urn:test:collected")
         Reasoner(ont).subclasses(Thing())
-        assert ont in reasoner_module._SHARED
         collected = weakref.ref(ont)
         del ont
         gc.collect()
