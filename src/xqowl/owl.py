@@ -44,22 +44,31 @@ NOTHING_IRI = OWL_NS + "Nothing"
 
 # -- class and role expressions ---------------------------------------------------
 
-@dataclass(frozen=True)
+def _model(cls: type) -> type:
+    """A frozen dataclass for a model value.  Model values are trees, so its
+    repr skips the guard against cycles that dataclasses wrap it in, which is
+    most of its cost; the reasoner sorts each TBox it compiles by repr."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__repr__ = getattr(cls.__repr__, "__wrapped__", cls.__repr__)
+    return cls
+
+
+@_model
 class Thing:
     iri: ClassVar[str] = THING_IRI
 
 
-@dataclass(frozen=True)
+@_model
 class Nothing:
     iri: ClassVar[str] = NOTHING_IRI
 
 
-@dataclass(frozen=True)
+@_model
 class Named:
     iri: str
 
 
-@dataclass(frozen=True)
+@_model
 class And:
     parts: tuple["ClassExpr", ...]
 
@@ -68,23 +77,23 @@ class And:
             raise ValueError("an intersection needs at least two parts")
 
 
-@dataclass(frozen=True)
+@_model
 class Role:
     iri: str
 
 
-@dataclass(frozen=True)
+@_model
 class Exists:
     role: Role
     filler: "ClassExpr"
 
 
-@dataclass(frozen=True)
+@_model
 class ExistsSelf:
     role: Role
 
 
-@dataclass(frozen=True)
+@_model
 class MaxCard:
     n: int
     role: Role
@@ -105,68 +114,68 @@ def class_of_iri(iri: str) -> ClassExpr:
 
 # -- axioms and assertions --------------------------------------------------------
 
-@dataclass(frozen=True)
+@_model
 class SubClassOf:
     sub: ClassExpr
     sup: ClassExpr
 
 
-@dataclass(frozen=True)
+@_model
 class EquivalentClasses:
     left: ClassExpr
     right: ClassExpr
 
 
-@dataclass(frozen=True)
+@_model
 class DisjointClasses:
     left: ClassExpr
     right: ClassExpr
 
 
-@dataclass(frozen=True)
+@_model
 class SubRoleOf:
     sub: Role
     sup: Role
 
 
-@dataclass(frozen=True)
+@_model
 class RoleChain:
     first: Role
     second: Role
     implied: Role
 
 
-@dataclass(frozen=True)
+@_model
 class InverseRoles:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_model
 class DisjointRoles:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_model
 class Domain:
     role: Role
     cls: ClassExpr
 
 
-@dataclass(frozen=True)
+@_model
 class Range:
     role: Role
     cls: ClassExpr
 
 
-@dataclass(frozen=True)
+@_model
 class DataDomain:
     prop: str
     cls: ClassExpr
 
 
-@dataclass(frozen=True)
+@_model
 class DataRange:
     prop: str
     datatype: str
@@ -176,20 +185,20 @@ Axiom = SubClassOf | EquivalentClasses | DisjointClasses | SubRoleOf | RoleChain
     | InverseRoles | DisjointRoles | Domain | Range | DataDomain | DataRange
 
 
-@dataclass(frozen=True)
+@_model
 class ClassAssertion:
     individual: str
     cls: ClassExpr
 
 
-@dataclass(frozen=True)
+@_model
 class RoleAssertion:
     subject: str
     role: str
     object: str
 
 
-@dataclass(frozen=True)
+@_model
 class DataAssertion:
     subject: str
     prop: str
@@ -254,18 +263,19 @@ def _entity_iri(side) -> str | None:
     return side.iri if isinstance(side, (Named, Role)) else None
 
 
-def named_classes_in(expr: ClassExpr) -> set[str]:
-    """All class IRIs mentioned inside an expression (Thing/Nothing excluded)."""
-    if isinstance(expr, Named):
-        return {expr.iri}
-    if isinstance(expr, And):
-        out: set[str] = set()
-        for part in expr.parts:
-            out |= named_classes_in(part)
-        return out
-    if isinstance(expr, (Exists, MaxCard)):
-        return named_classes_in(expr.filler)
-    return set()
+def named_classes_in(*exprs) -> set[str]:
+    """All class IRIs mentioned inside the expressions (Thing/Nothing excluded);
+    any other value among them, such as a role or an IRI, names no class."""
+    out, todo = set(), list(exprs)
+    while todo:
+        expr = todo.pop()
+        if isinstance(expr, Named):
+            out.add(expr.iri)
+        elif isinstance(expr, And):
+            todo += expr.parts
+        elif isinstance(expr, (Exists, MaxCard)):
+            todo.append(expr.filler)
+    return out
 
 
 def roles_in(expr: ClassExpr) -> set[str]:
@@ -294,14 +304,9 @@ class Ontology:
 
     def named_classes(self) -> frozenset[str]:
         """Declared classes plus every class IRI used in an axiom or assertion."""
-        out = set(self.classes)
-        for axiom in self.tbox:
-            for side in vars(axiom).values():  # role and IRI fields name no class
-                out |= named_classes_in(side)
-        for assertion in self.abox:
-            if isinstance(assertion, ClassAssertion):
-                out |= named_classes_in(assertion.cls)
-        return frozenset(out)
+        return self.classes.union(named_classes_in(
+            *(side for axiom in self.tbox for side in vars(axiom).values()),
+            *(fact.cls for fact in self.abox if isinstance(fact, ClassAssertion))))
 
     def all_individuals(self) -> frozenset[str]:
         out = set(self.individuals)

@@ -1,7 +1,7 @@
 """Forward-chaining reasoner over the supported ontology fragment.
 
-A Reasoner saturates its ABox to a least fixpoint under Horn rules compiled,
-once per ontology, from the TBox (subclass/equivalence, role hierarchy,
+The ABox is saturated to a least fixpoint under Horn rules compiled, once
+per Reasoner, from the TBox (subclass/equivalence, role hierarchy,
 inverse-of flips, of which a symmetric role r has InverseRoles(r, r),
 length-2 chains, domain/range, data-property domains), where every role
 is named.  Saturation is semi-naive: a role rule reads only the role facts
@@ -27,7 +27,6 @@ subsumes vacuously); subclass retrieval saturates one seed per class at once.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -118,7 +117,7 @@ def witness_name(key: tuple) -> str:
 
 
 class _Rules:
-    """A TBox sorted once by repr and compiled once, then shared read-only.
+    """A TBox sorted once by repr and compiled once, then only read.
 
     typing maps (property, "domain"/"range"/"data-domain") to classes.
     triggers maps a class IRI, or (role IRI, False/None for a fact read at
@@ -355,29 +354,17 @@ class _Engine(_Facts):
                              self._index)
 
 
-def _per_ontology(make):
-    """make(ont) made once per live ontology, on first use, for all its
-    Reasoners, as a host loop builds a reasoner per item on one loaded
-    ontology; equal ontologies share it, and a make that raises stores nothing."""
-    made = weakref.WeakKeyDictionary()
-    return lambda ont: made[ont] if ont in made else made.setdefault(ont, make(ont))
-
-
-_compiled_tbox = _per_ontology(lambda ont: _Rules(ont.tbox))
-_class_iris = _per_ontology(lambda ont: sorted(ont.named_classes() | {NOTHING_IRI}))
-
-
 def saturate(ont: Ontology, rules: _Rules | None = None) -> SaturatedAbox:
     """Close the ABox under ont.tbox, or rules compiled from it, and collect clashes."""
-    return _Engine(_compiled_tbox(ont) if rules is None else rules, ont).result()
+    return _Engine(_Rules(ont.tbox) if rules is None else rules, ont).result()
 
 
 class Reasoner:
     """Reasoning facade over one immutable ontology.
 
-    The compiled TBox is shared per ontology; the saturation and each class
-    expression's canonical model (all named classes' from one saturation) are
-    memoized per instance.  Profile names are interchangeable report labels.
+    The compiled TBox, the saturation and each class expression's canonical
+    model (all named classes' from one saturation) are memoized per instance;
+    the backend profile names are interchangeable labels kept for reporting.
     """
 
     PROFILES = ("hermit", "pellet", "fact")
@@ -391,7 +378,7 @@ class Reasoner:
 
     @cached_property
     def _rules(self) -> _Rules:
-        return _compiled_tbox(self.ontology)
+        return _Rules(self.ontology.tbox)
 
     @cached_property
     def saturation(self) -> SaturatedAbox:
@@ -450,7 +437,8 @@ class Reasoner:
     @cached_property
     def _classes(self) -> dict[str, ClassExpr]:
         """Named classes and owl:Nothing, given canonical models by one saturation."""
-        classes = {iri: class_of_iri(iri) for iri in _class_iris(self.ontology)}
+        classes = {iri: class_of_iri(iri)
+                   for iri in sorted(self.ontology.named_classes() | {NOTHING_IRI})}
         self._saturate_seeds([*classes.values(), Thing()])  # Thing's for the direct filter
         return classes
 

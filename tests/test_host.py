@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, assert_document_order, fixture_text, steps_of
-from xqowl import reasoner as reasoner_module
 from xqowl.errors import EvalError, HostSyntaxError, SparqlSyntaxError
 from xqowl.functions import OntologyHandle, ReasonerHandle
 from xqowl.hostlang import (
@@ -34,16 +33,6 @@ PROGRAMS = ("example1.xq", "lowering.xq", "object_properties.xq",
 
 def run_text(source: str, **env_args) -> list:
     return evaluate(parse_program(source), Environment(**env_args))
-
-
-@pytest.fixture
-def compiled(monkeypatch) -> list:
-    """The ontologies whose TBox is compiled while a test runs, through a
-    memo of the test's own."""
-    ontologies, rules = [], reasoner_module._Rules
-    monkeypatch.setattr(reasoner_module, "_compiled_tbox", reasoner_module._per_ontology(
-        lambda ont: ontologies.append(ont) or rules(ont.tbox)))
-    return ontologies
 
 
 def run_fixture(name: str, context: str | None = None,
@@ -592,9 +581,8 @@ class TestReasonerBuiltins:
         subclasses = run_text(f"xqowl:subclasses({reasoner}, {thing})", base_dir=FIXTURES)
         assert {SN + "user", SN + "popular_event"} <= set(texts(subclasses))
 
-    def test_reasoners_of_every_profile_share_one_compiled_tbox(self, compiled):
-        """One loaded ontology, asked through each profile's reasoner: one
-        answer, from one compile of its TBox."""
+    def test_reasoners_of_every_profile_answer_alike(self):
+        """One loaded ontology, asked through each profile's reasoner: one answer."""
         result = run_text(f"""
             let $ont := xqowl:load("socialnetwork.owl")
             return for $profile in ("hermit", "pellet", "fact")
@@ -605,7 +593,6 @@ class TestReasonerBuiltins:
         classes = ["event", "message", "popular_event", "popular_message", "Nothing"]
         assert [(el.attributes[0].value, texts(child_elements(el)))
                 for el in result] == [(p, classes) for p in ("hermit", "pellet", "fact")]
-        assert len(compiled) == 1
 
     def test_handles_do_not_atomize(self):
         with pytest.raises(EvalError):
@@ -747,9 +734,8 @@ class TestPrograms:
     def test_consistency_program(self):
         assert run_fixture("consistency.xq") == [True]
 
-    def test_instances_program(self, compiled):
+    def test_instances_program(self):
         result = run_fixture("instances.xq")
-        assert len(compiled) == 1  # a reasoner per class, on one loaded ontology
         groups = {el.attributes[0].value:
                   {string_value(c) for c in child_elements(el)}
                   for el in result}

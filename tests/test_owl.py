@@ -1,7 +1,9 @@
 """Ontology loading from RDF graphs and XML rendering of axioms/entities."""
 
+import dataclasses
 import random
 import re
+import typing
 
 import pytest
 
@@ -10,7 +12,7 @@ from corpus import generated_ontology, mutated_graph, random_ontology, rdfxml_on
 
 from xqowl.errors import RdfParseError, UnsupportedFeatureError, XqowlError
 from xqowl.owl import (
-    And, ClassAssertion, DataAssertion, DataDomain, DataRange, DisjointClasses,
+    And, Axiom, ClassAssertion, DataAssertion, DataDomain, DataRange, DisjointClasses,
     DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, InverseRoles,
     MaxCard, Named, Ontology, Range, Role, RoleAssertion, RoleChain, SubClassOf,
     SubRoleOf, Thing, axioms_to_xml, entities_to_xml, assertion_subject, axiom_subjects,
@@ -153,6 +155,17 @@ EXPECTED_ABOX = frozenset({
 })
 
 
+def dataclass_repr(value) -> str:
+    """repr as the dataclasses module writes it, field by field."""
+    if dataclasses.is_dataclass(value):
+        fields = (f"{f.name}={dataclass_repr(getattr(value, f.name))}"
+                  for f in dataclasses.fields(value))
+        return f"{type(value).__qualname__}({', '.join(fields)})"
+    if isinstance(value, tuple) and not hasattr(value, "_fields"):
+        return f"({', '.join(map(dataclass_repr, value))}{',' if len(value) == 1 else ''})"
+    return repr(value)
+
+
 class TestExpressions:
     def test_and_requires_two_parts(self):
         with pytest.raises(ValueError):
@@ -165,6 +178,27 @@ class TestExpressions:
         assert named_classes_in(expr) == {"urn:a", "urn:b"}
         assert roles_in(expr) == {"urn:r", "urn:s", "urn:t"}
         assert named_classes_in(Thing()) == set()
+        assert named_classes_in(Named("urn:c"), Role("urn:r"), "urn:d", expr) == \
+            {"urn:a", "urn:b", "urn:c"}
+
+    def test_named_classes_are_those_of_each_class_position(self):
+        for seed in range(50):
+            ont = generated_ontology(random.Random(seed))
+            expected = set(ont.classes)
+            for value in (*ont.tbox, *ont.abox):
+                for side in vars(value).values():
+                    expected |= named_classes_in(side)
+            assert ont.named_classes() == expected
+
+    def test_model_values_repr_as_dataclasses_without_the_cycle_guard(self):
+        values = [value for seed in range(50)
+                  for ont in (generated_ontology(random.Random(seed)),
+                              random_ontology(random.Random(seed)))
+                  for value in (*ont.tbox, *ont.abox)]
+        assert {type(value) for value in values} >= set(typing.get_args(Axiom))
+        for value in values:
+            assert repr(value) == dataclass_repr(value)
+            assert not hasattr(type(value).__repr__, "__wrapped__")
 
 
 class TestLoadSocialNetwork:

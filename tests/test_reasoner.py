@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import copy
-import gc
 import random
-import weakref
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -658,80 +656,11 @@ class TestSharedCanonicalModels:
             assert len(calls) - before == 1
 
 
-def tbox_answers(reasoner: Reasoner) -> tuple:
-    """The saturation and every named class's subclasses, direct and not."""
-    classes = sorted(reasoner.ontology.named_classes() | {NOTHING_IRI})
-    return reasoner.saturation, {(iri, direct): reasoner.subclasses(class_of_iri(iri), direct)
-                                 for iri in classes for direct in (False, True)}
-
-
-@dataclass(frozen=True)
-class TransitiveRole:
-    """A property axiom outside the supported fragment."""
-    role: Role
-
-
-class TestSharedCompiledTbox:
-    """Every Reasoner on one ontology reads one compiled TBox, and answers as
-    a Reasoner with a TBox compiled for it alone."""
-
-    @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl"])
-    def test_reasoners_of_every_profile_compile_once(self, source, monkeypatch):
-        # an IRI of its own, so no equal ontology of another test shares its entry
-        ont = replace(load_ontology(parse_rdfxml(fixture_text(source))),
-                      iri=f"urn:test:compile-once:{source}")
-        compiled, rules = [], reasoner_module._Rules
-        monkeypatch.setattr(reasoner_module, "_Rules",
-                            lambda tbox: compiled.append(tbox) or rules(tbox))
-        listed, named_classes = [], Ontology.named_classes
-        monkeypatch.setattr(Ontology, "named_classes",
-                            lambda self: listed.append(self) or named_classes(self))
-        for profile in (Reasoner.PROFILES * 2)[:5]:
-            reasoner = Reasoner(ont, profile)
-            reasoner.is_consistent()
-            reasoner.subclasses(Thing(), direct=True)
-        assert saturate(ont) == reasoner.saturation  # module-level saturate shares it too
-        assert len(compiled) == 1 and len(listed) == 1
-
-    @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl", "random"])
-    def test_shared_answers_equal_a_fresh_compile(self, source):
-        onts = [load_ontology(parse_rdfxml(fixture_text(source)))] \
-            if source.endswith(".owl") else \
-            [random_ontology(random.Random(seed)) for seed in range(50)]
-        for ont in onts:
-            shared = [Reasoner(ont, profile) for profile in Reasoner.PROFILES]
-            fresh = Reasoner(ont)
-            fresh._rules = reasoner_module._Rules(ont.tbox)
-            assert all(r._rules is shared[0]._rules is not fresh._rules for r in shared)
-            expected = tbox_answers(fresh)
-            for reasoner in shared:
-                assert tbox_answers(reasoner) == expected
-
-    def test_an_unsupported_tbox_raises_for_every_reasoner(self, monkeypatch):
-        ont = ont_of(tbox={SubClassOf(Named(ex("A")), Named(ex("B"))),
-                           TransitiveRole(Role(ex("r")))})
-        compiled, rules = [], reasoner_module._Rules
-        monkeypatch.setattr(reasoner_module, "_Rules",
-                            lambda tbox: compiled.append(tbox) or rules(tbox))
-        messages = []
-        for profile in ("hermit", "pellet"):
-            with pytest.raises(UnsupportedFeatureError) as err:
-                Reasoner(ont, profile).is_consistent()
-            messages.append(str(err.value))
-        assert messages[0] == messages[1] and "TransitiveRole" in messages[0]
-        assert len(compiled) == 2  # the failed compile was not stored
-
-    def test_the_shared_tbox_does_not_keep_its_ontology_alive(self):
-        ont = replace(random_ontology(random.Random(0)), iri="urn:test:collected")
-        Reasoner(ont).subclasses(Thing())
-        collected = weakref.ref(ont)
-        del ont
-        gc.collect()
-        assert collected() is None
-
-    def test_shared_rules_are_read_only(self, social):
-        """Saturating two ABoxes under one TBox through shared rules leaves
-        them as compiled, and no table of theirs adds a key on lookup."""
+class TestCompiledRules:
+    def test_rules_are_read_only(self, social):
+        """Saturating two ABoxes under one TBox through one compiled copy of it,
+        as a Reasoner does for its saturation and its canonical models, leaves
+        the rules as compiled, and no table of theirs adds a key on lookup."""
         rules = reasoner_module._Rules(social.tbox)
         snapshot = copy.deepcopy(vars(rules))
         seeded = replace(social, abox=frozenset(
