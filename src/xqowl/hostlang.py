@@ -16,16 +16,17 @@ The language is a small XQuery-like core:
     Path      ::= "/" Step ("/" Step)* | Primary ("/" Step)*
     Step      ::= ("@" QName | QName | "*" | "text" "(" ")") Predicate*
     Predicate ::= "[" ("@" QName "=" String | QName) "]"
-    Primary   ::= String | Number | "$" NCName | "(" (Expr ("," Expr)*)? ")"
-                | QName "(" (Expr ("," Expr)*)? ")" | Constructor
-                | "document" "{" Expr "}"
+    Primary   ::= String | Number | "$" NCName | "(" ExprList ")"
+                | QName "(" ExprList ")" | Constructor | "document" Enclosed
+    ExprList  ::= (Expr ("," Expr)*)?
+    Enclosed  ::= "{" ExprList "}"
 
 Steps use the child axis, or the attribute axis after "@"; a named
 axis such as "parent::" is a syntax error that names it. xpaths
 evaluates them. Direct element constructors carry literal text,
-nested constructors and enclosed expressions in braces; "{{" and "}}"
-escape literal braces. Whitespace-only literal content is boundary
-whitespace and is dropped.
+nested constructors and Enclosed expressions, which take a comma list
+as XQuery's do; "{{" and "}}" escape literal braces. Whitespace-only
+literal content is boundary whitespace and is dropped.
 
 QNames in paths and constructors are resolved at parse time against the
 prolog declarations plus any inline xmlns attributes, which scope over
@@ -414,8 +415,7 @@ class _Parser:
             return VarRef(self.raw_name())
         if ch == "(":
             self.pos += 1
-            items = self.expr_list()
-            return items[0] if len(items) == 1 else SequenceExpr(items)
+            return self.sequence(")")
         if ch == "<":
             return self.constructor()
         number = _NUMBER_RE.match(self.text, self.pos)
@@ -430,26 +430,30 @@ class _Parser:
             mark = self.pos
             self.pos += len(word)
             if self.take("{"):
-                content = self.expr()
-                self.expect("}")
-                return DocumentCtor(content)
+                return DocumentCtor(self.sequence("}"))
             self.pos = mark
         prefix, local = self._split_qname()
         prefix = prefix or "fn"
         if prefix not in FUNCTION_PREFIXES:
             raise self.error(f"unknown function namespace prefix {prefix!r}")
         self.expect("(")
-        return FnCall(prefix, local, self.expr_list())
+        return FnCall(prefix, local, self.expr_list(")"))
 
-    def expr_list(self) -> tuple[Expr, ...]:
-        """Comma-separated expressions after '(', up to and including ')'."""
-        if self.take(")"):
+    def expr_list(self, close: str) -> tuple[Expr, ...]:
+        """Comma-separated expressions after an opening bracket, up to and
+        including close."""
+        if self.take(close):
             return ()
         items = [self.expr()]
         while self.take(","):
             items.append(self.expr())
-        self.expect(")")
+        self.expect(close)
         return tuple(items)
+
+    def sequence(self, close: str) -> Expr:
+        """A bracketed expression list, as the one expression it may hold."""
+        items = self.expr_list(close)
+        return items[0] if len(items) == 1 else SequenceExpr(items)
 
     # -- direct constructors ----------------------------------------------------
 
@@ -542,9 +546,7 @@ class _Parser:
                 self.pos += 2
                 return "{"
             self.pos += 1
-            expr = self.expr()
-            self.expect("}")
-            return expr
+            return self.sequence("}")
         if ch == "}":
             if not self.text.startswith("}}", self.pos):
                 raise self.error("'}' outside an enclosed expression")

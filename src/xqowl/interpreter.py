@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import tempfile
 from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 
 from . import xmltree
@@ -29,7 +28,7 @@ from .hostlang import (Compare, DocumentCtor, ElementCtor, Expr, FnCall, ForExpr
                        StringLit, UnionExpr, VarRef)
 from .owl import Ontology, load_ontology
 from .rdf import RdfGraph, parse_rdfxml
-from .xmltree import XmlNode, clone, parse_xml, serialize_xml
+from .xmltree import XmlNode, clone, document_order, parse_xml, serialize_xml
 from .xpaths import eval_steps
 
 
@@ -162,11 +161,9 @@ class Interpreter:
         return [any(a != b for a in left for b in right)]
 
     def _union(self, expr: UnionExpr, scope: dict[str, list]) -> list:
-        # nodes of any trees are deduplicated and put in node_id order, as
-        # eval_steps does: document order within each tree (see xmltree)
         items = self.eval(expr.left, scope) + self.eval(expr.right, scope)
         if items and all(isinstance(i, XmlNode) for i in items):
-            return sorted(set(items), key=attrgetter("node_id"))
+            return document_order(items)  # as eval_steps orders a path's nodes
         return items
 
     def _call(self, expr: FnCall, scope: dict[str, list]) -> list:

@@ -10,12 +10,14 @@ left-hand side reads, checks an individual only when such a fact is new,
 from the first round on; rules fire in the naive order, on which witness
 creation depends.  Right-hand-side existentials get fresh witnesses, one per
 (context, conjunct position) and named by a digest of it; witnesses never
-create further witnesses, which bounds the saturation.  Role facts are
-indexed by (individual, role, inverse?).  After the fixpoint, clashes are
-looked up there and in the members of the classes clash axioms name, never
-raised: disjoint-classes (individual, class, class), disjoint-roles (subject,
-role, role, object), irreflexive (individual, role), max-cardinality
-(individual, role, filler, ...), nothing-membership (individual,).
+create further witnesses, which bounds the saturation.  A role fact is kept
+once, in the neighbour index by (individual, role, inverse?), plus the log
+the semi-naive rules read; SaturatedAbox.role_facts is built once, at the
+end.  After the fixpoint, clashes are looked up in the index and in the
+members of the classes clash axioms name, never raised: disjoint-classes
+(individual, class, class), disjoint-roles (subject, role, role, object),
+irreflexive (individual, role), max-cardinality (individual, role, filler,
+...), nothing-membership (individual,).
 
 Named individuals are assumed pairwise distinct, so an over-full
 cardinality restriction is a clash rather than a merge.  Subsumption is
@@ -48,9 +50,8 @@ class ClashReport:
 
 
 class _Facts:
-    """Membership tests over class_facts, role_facts, fresh and _index, which
-    maps (individual, role, inverse?) to the individual's neighbours over that
-    role, or over its inverse, so no test scans role_facts."""
+    """Membership tests over class_facts, fresh and the one role-fact store,
+    _index: (individual, role, inverse?) -> neighbours over role or its inverse."""
 
     def neighbours(self, individual: str, role: str,
                    inverse: bool) -> set[str] | tuple[()]:
@@ -70,7 +71,7 @@ class _Facts:
         if isinstance(expr, And):
             return all(self.check(individual, p) for p in expr.parts)
         if isinstance(expr, ExistsSelf):
-            return (individual, expr.role.iri, individual) in self.role_facts
+            return individual in self.neighbours(individual, expr.role.iri, False)
         if isinstance(expr, Exists):
             return any(self.check(b, expr.filler)
                        for b in self.neighbours(individual, expr.role.iri, False))
@@ -207,8 +208,8 @@ class _Engine(_Facts):
 
     def __init__(self, rules: _Rules, ont: Ontology):
         self.rules, self.named = rules, set(ont.all_individuals())
-        self.class_facts, self.role_facts, self.data_facts = set(), set(), set()
-        self.fresh, self.dynamic_limits, self._index = set(), set(), defaultdict(set)
+        self.class_facts, self.data_facts, self.fresh = set(), set(), set()
+        self.dynamic_limits, self._index = set(), defaultdict(set)
         self._log: list[tuple[str, str, str]] = []  # role facts in the order added
         self._read = [0] * (len(rules.chains) + 2)  # read of _log: flips, chains, typing
         self._dirty = [set(self.named) if rule in rules.bare else set()
@@ -224,13 +225,12 @@ class _Engine(_Facts):
                 self.data_facts.add((fact.subject, fact.prop, fact.value))
 
     def add_role(self, subject: str, role: str, obj: str) -> None:
-        """The one writer of role_facts, which keeps _index and _log in step."""
-        fact = (subject, role, obj)
-        if fact not in self.role_facts:
-            self.role_facts.add(fact)
-            self._log.append(fact)
-            self._index[subject, role, False].add(obj)
+        """The one writer of a role fact: its two _index entries and its _log line."""
+        objects = self._index[subject, role, False]
+        if obj not in objects:
+            objects.add(obj)
             self._index[obj, role, True].add(subject)
+            self._log.append((subject, role, obj))
             self._touch((role, False), subject)
             if subject == obj:
                 self._touch((role, None), subject)
@@ -284,7 +284,7 @@ class _Engine(_Facts):
     def saturate(self) -> None:
         rules, first_round, pool = self.rules, True, []
         while True:
-            size = (len(self.class_facts), len(self.role_facts), len(self.fresh))
+            size = (len(self.class_facts), len(self._log), len(self.fresh))
             for subject, role, obj in self._unread(0):
                 for sup in rules.subroles.get(role, ()):
                     self.add_role(subject, sup, obj)
@@ -299,7 +299,7 @@ class _Engine(_Facts):
                 for a, c in derived:
                     self.add_role(a, implied, c)
             new = self._unread(len(rules.chains) + 1)
-            for subject, role, obj in sorted(self.role_facts if rules.unstable else new):
+            for subject, role, obj in sorted(self._log if rules.unstable else new):
                 self._type(subject, role, "domain")
                 self._type(obj, role, "range")
             for subject, prop, _value in sorted(self.data_facts, key=lambda f: f[:2]) \
@@ -317,7 +317,7 @@ class _Engine(_Facts):
                             self.assert_expr(individual, rhs, ("rule", index, individual),
                                              materialize=individual not in self.fresh)
             first_round = False
-            if (len(self.class_facts), len(self.role_facts), len(self.fresh)) == size:
+            if (len(self.class_facts), len(self._log), len(self.fresh)) == size:
                 return
 
     def collect_clashes(self) -> tuple[ClashReport, ...]:
@@ -337,7 +337,7 @@ class _Engine(_Facts):
                       for a in pool if self.check(a, left) and self.check(a, right)}
         found |= {("disjoint-roles", (s, p, q, o)) for p, qs in rules.disjoint_roles.items()
                   for q in qs for s, objects in by_role[p].items()
-                  for o in objects if (s, q, o) in self.role_facts}
+                  for o in objects if o in self.neighbours(s, q, False)}
         limits = [(a, bound, role, filler) for role, bounds in rules.static_limits.items()
                   for context, bound, filler in bounds for a, objects in by_role[role].items()
                   if len(objects) > bound and self.check(a, context)]  # fillers ⊆ objects
@@ -349,9 +349,8 @@ class _Engine(_Facts):
 
     def result(self) -> SaturatedAbox:
         self.saturate()
-        return SaturatedAbox(self.class_facts, self.role_facts, self.data_facts,
-                             frozenset(self.fresh), self.collect_clashes(),
-                             self._index)
+        return SaturatedAbox(self.class_facts, set(self._log), self.data_facts,
+                             frozenset(self.fresh), self.collect_clashes(), self._index)
 
 
 def saturate(ont: Ontology, rules: _Rules | None = None) -> SaturatedAbox:
@@ -403,7 +402,7 @@ class Reasoner:
         return self._require_consistent("instance checking").check(individual, expr)
 
     def holds(self, subject: str, role: str, obj: str) -> bool:
-        return (subject, role, obj) in self.saturation.role_facts
+        return obj in self.saturation.neighbours(subject, role, False)
 
     def property_values(self, subject: str, role: str) -> set[str]:
         return self.saturation.named_fillers(subject, role, Thing())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import attrgetter
 from xml.parsers import expat
 
 from .errors import NamespaceError, XmlParseError
@@ -23,6 +24,7 @@ XML_NS = "http://www.w3.org/XML/1998/namespace"
 _NCNAME_RE = re.compile(r"^[^\W\d][\w.\-]*$")
 
 _node_counter = itertools.count(1)
+_BY_NODE_ID = attrgetter("node_id")
 
 
 class QName:
@@ -95,6 +97,12 @@ class XmlNode:
         if self.kind == "text":
             return f"<XmlNode text {self.value!r}>"
         return "<XmlNode document>"
+
+
+def document_order(nodes: list[XmlNode]) -> list[XmlNode]:
+    """nodes without repeats (by identity), sorted by node_id: document
+    order within each tree, as every tree is built parent first."""
+    return sorted(dict.fromkeys(nodes), key=_BY_NODE_ID) if len(nodes) > 1 else nodes
 
 
 def element(name: QName, attrs: list[tuple[QName, str]] | None = None) -> XmlNode:

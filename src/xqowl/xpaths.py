@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .xmltree import QName, XmlNode, get_attribute
+from .xmltree import QName, XmlNode, document_order, get_attribute
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,9 @@ def _eval_step(node: XmlNode, step: Step) -> list[XmlNode]:
 
 
 def eval_steps(contexts: list[XmlNode], steps: tuple[Step, ...]) -> list[XmlNode]:
-    """Apply steps to each context in turn, deduplicating by node
-    identity and keeping document order: every tree is built parent
-    first (see xmltree), so node_id is the sort key."""
+    """Apply steps to each context in turn, each step's results in
+    document order (see xmltree.document_order)."""
     current = list(contexts)
     for step in steps:
-        seen: set[int] = set()
-        next_nodes: list[XmlNode] = []
-        for node in current:
-            for result in _eval_step(node, step):
-                if id(result) not in seen:
-                    seen.add(id(result))
-                    next_nodes.append(result)
-        next_nodes.sort(key=lambda n: n.node_id)
-        current = next_nodes
+        current = document_order([r for node in current for r in _eval_step(node, step)])
     return current

@@ -221,6 +221,8 @@ class TestParser:
         ("for $x := 1 return $x", "expected 'in'", 1, 8),
         ("let $x in 1 return $x", "expected ':='", 1, 8),
         ("(\u00b2)", "expected '('", 1, 3),  # a digit to isdigit, a name to the grammar
+        ("<a>{1,}</a>", "expected an expression", 1, 7),
+        ("<a>{1, 2", "expected '}'", 1, 9),
     ])
     def test_syntax_error_message_and_position(self, source, message, line, column):
         with pytest.raises(HostSyntaxError) as err:
@@ -297,6 +299,16 @@ class TestEvaluation:
     def test_comment_in_a_constructor_is_dropped(self):
         [node] = run_text("<a>x<!-- c -->y</a>")
         assert serialize_xml(node) == "<a>xy</a>"
+
+    @pytest.mark.parametrize("source,markup", [
+        ("<a>{1, 2}</a>", "<a>1 2</a>"),
+        ("<a>{(1, 2)}</a>", "<a>1 2</a>"),
+        ('<a b="{1, 2}"/>', '<a b="1 2"/>'),
+        ("<a>{}</a>", "<a/>"),
+    ])
+    def test_enclosed_expression_takes_a_comma_list(self, source, markup):
+        [node] = run_text(source)
+        assert serialize_xml(node) == markup
 
     def test_path_from_variable(self):
         result = run_text(

@@ -851,6 +851,42 @@ class TestRoleIndex:
         check_index_against_scan(random_ontology(random.Random(seed)))
 
 
+def check_one_store(ont: Ontology, rng: random.Random) -> None:
+    """role_facts, the forward index and the inverse index hold the same
+    facts, no index entry is empty, and holds answers from the index alike."""
+    reasoner = Reasoner(ont)
+    sat = reasoner.saturation
+    forward = {(s, r, o) for (s, r, inverse), objects in sat._index.items()
+               if not inverse for o in objects}
+    backward = {(s, r, o) for (o, r, inverse), subjects in sat._index.items()
+                if inverse for s in subjects}
+    assert sat.role_facts == forward == backward
+    assert all(sat._index.values())
+    assert all(reasoner.holds(*fact) for fact in sat.role_facts)
+    individuals = sorted(ont.all_individuals() | sat.fresh) or [ex("a")]
+    roles = sorted({r for (_, r, _) in sat.role_facts} | {ex("r")})
+    candidates = {(o, r, s) for (s, r, o) in sat.role_facts}  # converses, often not facts
+    candidates |= {(rng.choice(individuals), rng.choice(roles), rng.choice(individuals))
+                   for _ in range(50)}
+    for fact in sorted(candidates):
+        assert reasoner.holds(*fact) == (fact in sat.role_facts), fact
+
+
+class TestOneRoleStore:
+    @pytest.mark.parametrize("source", ["socialnetwork.owl", "ontology_papers.owl"])
+    def test_fixture(self, source):
+        check_one_store(load_ontology(parse_rdfxml(fixture_text(source))),
+                        random.Random(source))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_generated_ontology(self, seed):
+        check_one_store(generated_ontology(random.Random(seed)), random.Random(seed))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_ontology(self, seed):
+        check_one_store(random_ontology(random.Random(seed)), random.Random(seed))
+
+
 # -- the semi-naive engine against the naive loop it replaced --------------------
 
 class NaiveEngine(_Facts):
