@@ -305,18 +305,17 @@ def _sw_builder(local: str, arity: int):
 
     def wrap(build: Callable[..., list]) -> Callable[..., list]:
         def builtin(env, *args: list) -> list:
-            if any(not seq for seq in args):
+            if not all(args):  # an empty sequence among them
                 return []
-            return build(*(string_arg(seq, what) for seq in args))
+            return build(*[string_arg(seq, what) for seq in args])
         _register("sw", local, arity, arity)(builtin)
         return build
     return wrap
 
 
-@_register("sw", "ID", 1, 1)
-def _sw_id(env, value: list) -> list:
-    raw = optional_string(value, "sw:ID")
-    return [] if raw is None else ["#" + raw]
+@_sw_builder("ID", 1)
+def _sw_id(value: str) -> list:
+    return ["#" + value]
 
 
 def _property_name(local: str, what: str) -> QName:

@@ -1,11 +1,12 @@
 """Ontology model for the supported description-logic fragment.
 
-Class and role expressions, TBox axioms and ABox assertions are frozen
-dataclasses.  :func:`load_ontology` reads them out of an :class:`RdfGraph`
-that uses the OWL RDF/XML vocabulary subset, and :func:`axioms_to_xml`
-writes them back as entity-grouped RDF/XML, both by one table of the axiom
-kinds, _AXIOM_ROWS; :func:`entities_to_xml` renders a list of IRIs as one
-item element per IRI.
+Class expressions, TBox axioms and ABox assertions are frozen dataclasses;
+every role (object property) in them is held as its IRI string, told apart
+from a data property by the position it fills.  :func:`load_ontology`
+reads them out of an :class:`RdfGraph` that uses the OWL RDF/XML vocabulary
+subset, and :func:`axioms_to_xml` writes them back as entity-grouped
+RDF/XML, both by one table of the axiom kinds, _AXIOM_ROWS;
+:func:`entities_to_xml` renders a list of IRIs as one item element per IRI.
 
 Three role characteristics are stored through fixed encodings rather than
 dedicated axiom kinds:
@@ -18,7 +19,7 @@ The loader produces these encodings from the owl:SymmetricProperty /
 owl:FunctionalProperty / owl:IrreflexiveProperty type markers, and the
 renderer recognizes them and emits the markers again, also for a loaded
 p owl:inverseOf p, which is the symmetric encoding.  Every role in the
-model is a named Role, so every ontology it can hold renders and loads back.
+model is named, so every ontology it can hold renders and loads back.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ THING_IRI = OWL_NS + "Thing"
 NOTHING_IRI = OWL_NS + "Nothing"
 
 
-# -- class and role expressions ---------------------------------------------------
+# -- class expressions ------------------------------------------------------------
 
 def _model(cls: type) -> type:
     """A frozen dataclass for a model value.  Model values are trees, so its
@@ -78,25 +79,20 @@ class And:
 
 
 @_model
-class Role:
-    iri: str
-
-
-@_model
 class Exists:
-    role: Role
+    role: str
     filler: "ClassExpr"
 
 
 @_model
 class ExistsSelf:
-    role: Role
+    role: str
 
 
 @_model
 class MaxCard:
     n: int
-    role: Role
+    role: str
     filler: "ClassExpr"
 
     def __post_init__(self):
@@ -134,15 +130,15 @@ class DisjointClasses:
 
 @_model
 class SubRoleOf:
-    sub: Role
-    sup: Role
+    sub: str
+    sup: str
 
 
 @_model
 class RoleChain:
-    first: Role
-    second: Role
-    implied: Role
+    first: str
+    second: str
+    implied: str
 
 
 @_model
@@ -159,13 +155,13 @@ class DisjointRoles:
 
 @_model
 class Domain:
-    role: Role
+    role: str
     cls: ClassExpr
 
 
 @_model
 class Range:
-    role: Role
+    role: str
     cls: ClassExpr
 
 
@@ -213,11 +209,11 @@ def symmetric_axiom(role_iri: str) -> InverseRoles:
 
 
 def functional_axiom(role_iri: str) -> SubClassOf:
-    return SubClassOf(Thing(), MaxCard(1, Role(role_iri), Thing()))
+    return SubClassOf(Thing(), MaxCard(1, role_iri, Thing()))
 
 
 def irreflexive_axiom(role_iri: str) -> SubClassOf:
-    return SubClassOf(ExistsSelf(Role(role_iri)), Nothing())
+    return SubClassOf(ExistsSelf(role_iri), Nothing())
 
 
 # owl type marker of a role characteristic -> the axiom that encodes it
@@ -228,7 +224,7 @@ _ROLE_MARKERS = (("SymmetricProperty", symmetric_axiom),
 # One row per axiom kind: its type, its predicate's (namespace, local), the
 # entity kind it is written under and its rank there (role markers rank 0),
 # how its subject and its object are read and written (a "class" expression,
-# a named "role", a plain "iri", a two-link "chain" or a "datatype" IRI), and
+# a "role", a data property "iri", a two-link "chain" or a "datatype" IRI), and
 # whether both sides are its subjects.  Rows are in loading order; a property
 # declared both ways takes the data row of rdfs:domain or rdfs:range.
 _Row = namedtuple("_Row", "axiom name entity rank subject object symmetric",
@@ -242,8 +238,8 @@ _AXIOM_ROWS = (
     _Row(Domain, (RDFS_NS, "domain"), "object", 5, "role", "class"),
     _Row(DataRange, (RDFS_NS, "range"), "data", 1, "iri", "datatype"),
     _Row(Range, (RDFS_NS, "range"), "object", 6, "role", "class"),
-    _Row(InverseRoles, (OWL_NS, "inverseOf"), "object", 2, "iri", "iri", True),
-    _Row(DisjointRoles, (OWL_NS, "propertyDisjointWith"), "object", 3, "iri", "iri", True),
+    _Row(InverseRoles, (OWL_NS, "inverseOf"), "object", 2, "role", "role", True),
+    _Row(DisjointRoles, (OWL_NS, "propertyDisjointWith"), "object", 3, "role", "role", True),
     _Row(RoleChain, (OWL_NS, "propertyChainAxiom"), "object", 4, "role", "chain"),
 )
 _ROW_OF = {row.axiom: row for row in _AXIOM_ROWS}
@@ -260,36 +256,30 @@ def _entity_iri(side) -> str | None:
     """The IRI of an axiom side that names an entity."""
     if isinstance(side, str):
         return side
-    return side.iri if isinstance(side, (Named, Role)) else None
+    return side.iri if isinstance(side, Named) else None
 
 
-def named_classes_in(*exprs) -> set[str]:
-    """All class IRIs mentioned inside the expressions (Thing/Nothing excluded);
-    any other value among them, such as a role or an IRI, names no class."""
-    out, todo = set(), list(exprs)
-    while todo:
-        expr = todo.pop()
-        if isinstance(expr, Named):
-            out.add(expr.iri)
-        elif isinstance(expr, And):
-            todo += expr.parts
+def subexpressions(*exprs) -> list:
+    """The expressions and every part inside them (an And's parts, an Exists'
+    or MaxCard's filler); any other value among them, such as an IRI, has none."""
+    out = list(exprs)
+    for expr in out:  # reads what it appends
+        if isinstance(expr, And):
+            out += expr.parts
         elif isinstance(expr, (Exists, MaxCard)):
-            todo.append(expr.filler)
+            out.append(expr.filler)
     return out
 
 
-def roles_in(expr: ClassExpr) -> set[str]:
-    """All role IRIs mentioned inside an expression."""
-    if isinstance(expr, And):
-        out: set[str] = set()
-        for part in expr.parts:
-            out |= roles_in(part)
-        return out
-    if isinstance(expr, (Exists, MaxCard)):
-        return {expr.role.iri} | roles_in(expr.filler)
-    if isinstance(expr, ExistsSelf):
-        return {expr.role.iri}
-    return set()
+def named_classes_in(*exprs) -> set[str]:
+    """All class IRIs mentioned inside the expressions (Thing/Nothing excluded)."""
+    return {expr.iri for expr in subexpressions(*exprs) if isinstance(expr, Named)}
+
+
+def roles_in(*exprs) -> set[str]:
+    """All role IRIs mentioned inside the expressions."""
+    return {expr.role for expr in subexpressions(*exprs)
+            if isinstance(expr, (Exists, ExistsSelf, MaxCard))}
 
 
 @dataclass(frozen=True)
@@ -394,10 +384,13 @@ class _OntologyLoader:
             head = rests[0]
         return members
 
-    def role(self, term: Term, where: str) -> Role:
+    def role(self, term: Term, name: str, where: str | None = None) -> str:
+        """The role term names in an object-property position of predicate name."""
         if not isinstance(term, Iri):
-            raise RdfParseError(f"{where} must name a property")
-        return Role(term.value)
+            raise RdfParseError(f"{where or name} must name a property")
+        if term.value in self.data_properties:
+            raise UnsupportedFeatureError(f"{name} between datatype properties is not supported")
+        return term.value
 
     def class_expr(self, term: Term) -> ClassExpr:
         expr = self._class_exprs.get(term)
@@ -420,9 +413,9 @@ class _OntologyLoader:
             if len(parts) < 2:
                 raise RdfParseError("owl:intersectionOf needs at least two members")
             return And(parts)
-        on_property = self.objects(iri, OWL_NS + "onProperty")
-        if on_property:
-            role = self.role(on_property[0], "owl:onProperty")
+        properties = self.objects(iri, OWL_NS + "onProperty")
+        if properties:
+            role = self.role(properties[0], "owl:onProperty")
             some = self.objects(iri, OWL_NS + "someValuesFrom")
             if some:
                 return Exists(role, self.class_expr(some[0]))
@@ -451,17 +444,17 @@ class _OntologyLoader:
         """One side of an axiom whose predicate is name, read from its term."""
         if way == "class":
             return self.class_expr(term)
+        if way == "role":
+            return self.role(term, name)
         if way == "chain":
             links = self.read_list(term)
             if len(links) != 2:
                 raise UnsupportedFeatureError(
                     "only property chains of exactly two links are supported")
-            return tuple(self.role(link, "a chain link") for link in links)
-        if isinstance(term, Iri):
-            return Role(term.value) if way == "role" else term.value
-        if way == "datatype":
+            return tuple(self.role(link, name, "a chain link") for link in links)
+        if not isinstance(term, Iri):  # a subject is an IRI, so a datatype range
             raise RdfParseError("a datatype property range must be an IRI")
-        raise RdfParseError(f"{name} must name a property")
+        return term.value
 
     def row_for(self, rows: list[_Row], name: str, subject: str) -> _Row:
         """The row of a triple whose predicate is name; rdfs:domain and
@@ -469,9 +462,6 @@ class _OntologyLoader:
         for row in rows:
             declared = self.data_properties if row.entity == "data" else self.object_properties
             if len(rows) == 1 or subject in declared:
-                if row.subject == "role" and subject in self.data_properties:
-                    raise UnsupportedFeatureError(
-                        f"{name} between datatype properties is not supported")
                 return row
         raise RdfParseError(f"{name} on undeclared property {subject}")
 
@@ -567,7 +557,7 @@ def _marker_of(axiom: Axiom) -> tuple[str, str] | None:
     if isinstance(axiom, InverseRoles):
         roles = {axiom.left}
     elif isinstance(axiom, SubClassOf):
-        roles = roles_in(axiom.sub) | roles_in(axiom.sup)
+        roles = roles_in(axiom.sub, axiom.sup)
     else:
         return None
     for kind, encode in _ROLE_MARKERS:
@@ -606,26 +596,21 @@ class _Renderer:
             members = _describe((OWL_NS, "intersectionOf"), _COLLECTION,
                                 tuple(self.class_node(p) for p in expr.parts))
             return _describe((OWL_NS, "Class"), parts=(members,))
+        property_child = self.role_ref((OWL_NS, "onProperty"), expr.role)  # a restriction
         if isinstance(expr, Exists):
             return _describe((OWL_NS, "Restriction"), parts=(
-                self.on_property(expr.role),
-                self.class_ref((OWL_NS, "someValuesFrom"), expr.filler)))
+                property_child, self.class_ref((OWL_NS, "someValuesFrom"), expr.filler)))
         if isinstance(expr, ExistsSelf):
             true = _describe((OWL_NS, "hasSelf"), [(_DATATYPE, XSD_NS + "boolean")],
                              (_text("true"),))
-            return _describe((OWL_NS, "Restriction"),
-                             parts=(self.on_property(expr.role), true))
+            return _describe((OWL_NS, "Restriction"), parts=(property_child, true))
         qualified = not isinstance(expr.filler, Thing)  # a MaxCard
         constraint = (_describe(
             (OWL_NS, "maxQualifiedCardinality" if qualified else "maxCardinality"),
             [(_DATATYPE, XSD_NS + "nonNegativeInteger")], (_text(str(expr.n)),)),)
         if qualified:
             constraint += (self.class_ref((OWL_NS, "onClass"), expr.filler),)
-        return _describe((OWL_NS, "Restriction"),
-                         parts=(self.on_property(expr.role),) + constraint)
-
-    def on_property(self, role: Role) -> tuple:
-        return self.role_ref((OWL_NS, "onProperty"), role.iri)
+        return _describe((OWL_NS, "Restriction"), parts=(property_child,) + constraint)
 
     def role_ref(self, name: tuple[str, str], iri: str) -> tuple:
         self.mentioned["object"].add(iri)
@@ -653,14 +638,13 @@ class _Renderer:
         """The property child that writes one side of an axiom."""
         if way == "class":
             return self.class_ref(name, side)
-        if way == "datatype":
-            return _describe(name, [(_RESOURCE, side)])
+        if way == "role":
+            return self.role_ref(name, side)
         if way == "chain":
-            links = [link.iri for link in side]
-            self.mentioned["object"] |= set(links)
+            self.mentioned["object"] |= set(side)
             return _describe(name, _COLLECTION, tuple(
-                _describe((OWL_NS, "ObjectProperty"), [(_ABOUT, link)]) for link in links))
-        return self.role_ref(name, side.iri if way == "role" else side)
+                _describe((OWL_NS, "ObjectProperty"), [(_ABOUT, link)]) for link in side))
+        return _describe(name, [(_RESOURCE, side)])  # a datatype
 
     def property_name(self, iri: str) -> tuple[str, str]:
         """(namespace, local) split before the IRI's longest XML-name tail."""

@@ -38,7 +38,7 @@ from .owl import (
     And, ClassAssertion, ClassExpr, DataDomain, DataRange, DisjointClasses,
     DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, InverseRoles,
     MaxCard, Named, Nothing, NOTHING_IRI, Ontology, Range, RoleAssertion, RoleChain,
-    SubClassOf, SubRoleOf, Thing, class_of_iri,
+    SubClassOf, SubRoleOf, Thing, class_of_iri, subexpressions,
 )
 from .rdf import Literal
 
@@ -71,11 +71,11 @@ class _Facts:
         if isinstance(expr, And):
             return all(self.check(individual, p) for p in expr.parts)
         if isinstance(expr, ExistsSelf):
-            return individual in self.neighbours(individual, expr.role.iri, False)
+            return individual in self.neighbours(individual, expr.role, False)
         if isinstance(expr, Exists):
             return any(self.check(b, expr.filler)
-                       for b in self.neighbours(individual, expr.role.iri, False))
-        return len(self.named_fillers(individual, expr.role.iri, expr.filler)) <= expr.n
+                       for b in self.neighbours(individual, expr.role, False))
+        return len(self.named_fillers(individual, expr.role, expr.filler)) <= expr.n
 
 
 @dataclass
@@ -99,17 +99,10 @@ def display_class(expr: ClassExpr) -> str:
     if isinstance(expr, And):
         return "(" + " and ".join(display_class(p) for p in expr.parts) + ")"
     if isinstance(expr, ExistsSelf):
-        return f"({expr.role.iri} some Self)"
+        return f"({expr.role} some Self)"
     if isinstance(expr, Exists):
-        return f"({expr.role.iri} some {display_class(expr.filler)})"
-    return f"(max {expr.n} {expr.role.iri} {display_class(expr.filler)})"
-
-
-def _mentions(expr: ClassExpr, kind: type) -> bool:
-    if isinstance(expr, And):
-        return any(_mentions(p, kind) for p in expr.parts)
-    return isinstance(expr, kind) or isinstance(expr, (Exists, MaxCard)) \
-        and _mentions(expr.filler, kind)
+        return f"({expr.role} some {display_class(expr.filler)})"
+    return f"(max {expr.n} {expr.role} {display_class(expr.filler)})"
 
 
 def witness_name(key: tuple) -> str:
@@ -138,7 +131,7 @@ class _Rules:
             self._compile(axiom)
         asserted = [rhs for _, rhs in self.class_rules] + [
             cls for classes in self.typing.values() for cls in classes]
-        self.unstable = any(_mentions(cls, MaxCard) for cls in asserted)
+        self.unstable = any(isinstance(expr, MaxCard) for expr in subexpressions(*asserted))
         self.clash_roles = {*self.irreflexive, *self.static_limits, *self.disjoint_roles}
         self.clash_classes = {NOTHING_IRI}.union(*(c[2] for c in self.disjoint_classes))
         empty = SaturatedAbox(set(), set(), set(), frozenset(), (), {})  # no fact known
@@ -150,19 +143,19 @@ class _Rules:
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
             if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sup, Nothing):
-                self.irreflexive.append(axiom.sub.role.iri)
+                self.irreflexive.append(axiom.sub.role)
             elif isinstance(axiom.sup, MaxCard):
-                self.static_limits[axiom.sup.role.iri].append((axiom.sub, axiom.sup.n,
-                                                               axiom.sup.filler))
+                self.static_limits[axiom.sup.role].append((axiom.sub, axiom.sup.n,
+                                                           axiom.sup.filler))
             else:
                 self._class_rule(axiom.sub, axiom.sup)
         elif isinstance(axiom, EquivalentClasses):
             self._class_rule(axiom.left, axiom.right)
             self._class_rule(axiom.right, axiom.left)
         elif isinstance(axiom, SubRoleOf):
-            self.subroles[axiom.sub.iri].append(axiom.sup.iri)
+            self.subroles[axiom.sub].append(axiom.sup)
         elif isinstance(axiom, RoleChain):
-            self.chains.append((axiom.first.iri, axiom.second.iri, axiom.implied.iri))
+            self.chains.append((axiom.first, axiom.second, axiom.implied))
         elif isinstance(axiom, InverseRoles):
             self.flips[axiom.left].append(axiom.right)
             if axiom.right != axiom.left:  # a symmetric role flips once
@@ -174,7 +167,7 @@ class _Rules:
             self.disjoint_roles[axiom.left].append(axiom.right)
         elif isinstance(axiom, (Domain, Range)):
             side = "domain" if isinstance(axiom, Domain) else "range"
-            self.typing[axiom.role.iri, side].append(axiom.cls)
+            self.typing[axiom.role, side].append(axiom.cls)
         elif isinstance(axiom, DataDomain):
             self.typing[axiom.prop, "data-domain"].append(axiom.cls)
         elif not isinstance(axiom, DataRange):  # datatype ranges carry no rule
@@ -191,10 +184,10 @@ class _Rules:
             for part in expr.parts:
                 self._triggers(rule, part, path)
         elif isinstance(expr, ExistsSelf):
-            self.triggers[expr.role.iri, None].append((rule, path))
+            self.triggers[expr.role, None].append((rule, path))
         elif isinstance(expr, (Exists, MaxCard)):
-            self.triggers[expr.role.iri, False].append((rule, path))
-            self._triggers(rule, expr.filler, path + (expr.role.iri,))
+            self.triggers[expr.role, False].append((rule, path))
+            self._triggers(rule, expr.filler, path + (expr.role,))
 
 
 class _Engine(_Facts):
@@ -257,7 +250,7 @@ class _Engine(_Facts):
             for position, part in enumerate(expr.parts):
                 self.assert_expr(individual, part, key + (position,), materialize)
         elif isinstance(expr, ExistsSelf):
-            self.add_role(individual, expr.role.iri, individual)
+            self.add_role(individual, expr.role, individual)
         elif isinstance(expr, Exists):
             if self.check(individual, expr) or not materialize:
                 return
@@ -266,10 +259,10 @@ class _Engine(_Facts):
                 self.fresh.add(witness)
                 for rule in self.rules.bare:
                     self._dirty[rule].add(witness)
-            self.add_role(individual, expr.role.iri, witness)
+            self.add_role(individual, expr.role, witness)
             self.assert_expr(witness, expr.filler, key + ("filler",), True)
         elif isinstance(expr, MaxCard):
-            self.dynamic_limits.add((individual, expr.n, expr.role.iri, expr.filler))
+            self.dynamic_limits.add((individual, expr.n, expr.role, expr.filler))
 
     def _type(self, individual: str, prop: str, side: str) -> None:
         for cls in self.rules.typing.get((prop, side), ()):

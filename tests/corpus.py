@@ -12,7 +12,7 @@ import random
 from xqowl.owl import (
     And, ClassAssertion, DataAssertion, DataDomain, DataRange, DisjointClasses,
     DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, InverseRoles,
-    MaxCard, Named, Nothing, Ontology, Range, Role, RoleAssertion, RoleChain,
+    MaxCard, Named, Nothing, Ontology, Range, RoleAssertion, RoleChain,
     SubClassOf, SubRoleOf, Thing, functional_axiom, irreflexive_axiom, symmetric_axiom,
 )
 from xqowl.rdf import XSD_NS, Iri, Literal, RdfGraph, Triple, parse_rdfxml, term_key
@@ -40,13 +40,13 @@ def random_ontology(rng: random.Random) -> Ontology:
         SubClassOf(Named(CLASS_NAMES[1]), Named(CLASS_NAMES[2])),
         EquivalentClasses(Named(CLASS_NAMES[3]),
                           And((Named(CLASS_NAMES[2]),
-                               Exists(Role(p), Named(CLASS_NAMES[1]))))),
+                               Exists(p, Named(CLASS_NAMES[1]))))),
         symmetric_axiom(sym),
         InverseRoles(p, q),
-        RoleChain(Role(r), Role(r), Role(t)),
-        SubRoleOf(Role(r), Role(p)),
-        Domain(Role(p), Named(CLASS_NAMES[0])),
-        Range(Role(p), Named(CLASS_NAMES[2])),
+        RoleChain(r, r, t),
+        SubRoleOf(r, p),
+        Domain(p, Named(CLASS_NAMES[0])),
+        Range(p, Named(CLASS_NAMES[2])),
     }
     abox = set()
     for _ in range(rng.randint(2, 8)):
@@ -75,7 +75,7 @@ def generated_ontology(rng: random.Random) -> Ontology:
 
     def role():
         rng.random()  # still drawn, so that each seed keeps its ontology
-        return Role(rng.choice(roles))
+        return rng.choice(roles)
 
     def expr(depth=0):
         k = rng.random()

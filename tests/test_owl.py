@@ -12,9 +12,9 @@ from corpus import generated_ontology, mutated_graph, random_ontology, rdfxml_on
 
 from xqowl.errors import RdfParseError, UnsupportedFeatureError, XqowlError
 from xqowl.owl import (
-    And, Axiom, ClassAssertion, DataAssertion, DataDomain, DataRange, DisjointClasses,
+    And, Axiom, ClassAssertion, ClassExpr, DataAssertion, DataDomain, DataRange, DisjointClasses,
     DisjointRoles, Domain, EquivalentClasses, Exists, ExistsSelf, InverseRoles,
-    MaxCard, Named, Ontology, Range, Role, RoleAssertion, RoleChain, SubClassOf,
+    MaxCard, Named, Ontology, Range, RoleAssertion, RoleChain, SubClassOf,
     SubRoleOf, Thing, axioms_to_xml, entities_to_xml, assertion_subject, axiom_subjects,
     functional_axiom, irreflexive_axiom, load_ontology, named_classes_in, roles_in,
     symmetric_axiom,
@@ -40,8 +40,8 @@ def named(local: str) -> Named:
     return Named(sn(local))
 
 
-def role(local: str) -> Role:
-    return Role(sn(local))
+def role(local: str) -> str:
+    return sn(local)
 
 
 def string(value: str) -> Literal:
@@ -166,6 +166,25 @@ def dataclass_repr(value) -> str:
     return repr(value)
 
 
+ROLE_AXIOMS = (SubRoleOf, RoleChain, InverseRoles, DisjointRoles)
+
+
+def roles_held(value) -> list:
+    """What fills each object-property position of an axiom, assertion or
+    class expression, the class expressions inside it included."""
+    if isinstance(value, ROLE_AXIOMS):
+        held = list(vars(value).values())
+    elif isinstance(value, (Exists, ExistsSelf, MaxCard, Domain, Range, RoleAssertion)):
+        held = [value.role]
+    else:
+        held = []
+    for side in vars(value).values():
+        for inner in side if isinstance(side, tuple) else (side,):
+            if isinstance(inner, ClassExpr):
+                held += roles_held(inner)
+    return held
+
+
 class TestExpressions:
     def test_and_requires_two_parts(self):
         with pytest.raises(ValueError):
@@ -173,13 +192,23 @@ class TestExpressions:
 
     def test_expression_walkers(self):
         expr = And((Named("urn:a"),
-                    Exists(Role("urn:r"), MaxCard(1, Role("urn:s"), Named("urn:b"))),
-                    ExistsSelf(Role("urn:t"))))
+                    Exists("urn:r", MaxCard(1, "urn:s", Named("urn:b"))),
+                    ExistsSelf("urn:t")))
         assert named_classes_in(expr) == {"urn:a", "urn:b"}
         assert roles_in(expr) == {"urn:r", "urn:s", "urn:t"}
         assert named_classes_in(Thing()) == set()
-        assert named_classes_in(Named("urn:c"), Role("urn:r"), "urn:d", expr) == \
+        assert named_classes_in(Named("urn:c"), "urn:r", "urn:d", expr) == \
             {"urn:a", "urn:b", "urn:c"}
+
+    def test_every_role_position_holds_an_iri_string(self):
+        """In the model as built and as loaded back from its rendering."""
+        for seed in range(50):
+            for ont in (generated_ontology(random.Random(seed)),
+                        random_ontology(random.Random(seed))):
+                back = load_ontology(parse_rdfxml(serialize_xml(axioms_to_xml(ont))))
+                held = [role for value in (*ont.tbox, *ont.abox, *back.tbox, *back.abox)
+                        for role in roles_held(value)]
+                assert held and all(type(role) is str for role in held), seed
 
     def test_named_classes_are_those_of_each_class_position(self):
         for seed in range(50):
@@ -239,6 +268,28 @@ class TestLoadSocialNetwork:
     def test_deterministic(self, social, fixtures_dir):
         markup = (fixtures_dir / "socialnetwork.owl").read_text()
         assert load_ontology(parse_rdfxml(markup)) == social
+
+
+# a datatype property in each object-property position, with the axiom or
+# restriction predicate its message names
+DATATYPE_AS_ROLE = [
+    ("""<owl:DatatypeProperty rdf:about="#p"><owl:inverseOf rdf:resource="#r"/>
+        </owl:DatatypeProperty>""", "owl:inverseOf"),
+    ("""<owl:DatatypeProperty rdf:about="#p">
+          <owl:propertyDisjointWith rdf:resource="#r"/></owl:DatatypeProperty>""",
+     "owl:propertyDisjointWith"),
+    ("""<owl:ObjectProperty rdf:about="#r"><rdfs:subPropertyOf rdf:resource="#p"/>
+        </owl:ObjectProperty>""", "rdfs:subPropertyOf"),
+    ("""<owl:ObjectProperty rdf:about="#r"><owl:inverseOf rdf:resource="#p"/>
+        </owl:ObjectProperty>""", "owl:inverseOf"),
+    ("""<owl:ObjectProperty rdf:about="#t">
+          <owl:propertyChainAxiom rdf:parseType="Collection">
+            <owl:ObjectProperty rdf:about="#r"/><owl:DatatypeProperty rdf:about="#p"/>
+          </owl:propertyChainAxiom></owl:ObjectProperty>""", "owl:propertyChainAxiom"),
+    ("""<owl:Class rdf:about="#c"><rdfs:subClassOf><owl:Restriction>
+          <owl:onProperty rdf:resource="#p"/><owl:someValuesFrom rdf:resource="#d"/>
+        </owl:Restriction></rdfs:subClassOf></owl:Class>""", "owl:onProperty"),
+]
 
 
 class TestLoadSmallGraphs:
@@ -307,6 +358,9 @@ class TestLoadSmallGraphs:
                 <owl:ObjectProperty rdf:about="#r"/><owl:ObjectProperty rdf:about="#s"/>
               </owl:propertyChainAxiom></owl:DatatypeProperty>""",
          "owl:propertyChainAxiom between datatype properties"),
+        *[("""<owl:DatatypeProperty rdf:about="#p"/><owl:ObjectProperty rdf:about="#r"/>"""
+           + body, f"^{name} between datatype properties is not supported$")
+          for body, name in DATATYPE_AS_ROLE],
     ])
     def test_unsupported_constructs(self, body, match):
         markup = f"""
@@ -503,10 +557,10 @@ class TestLoadConferenceTbox:
             SubClassOf(Named(papers("Senior")), Named(papers("Researcher"))),
             DisjointClasses(Named(papers("Student")), Named(papers("Reviewer"))),
             DisjointRoles(papers("manuscript"), papers("referee")),
-            Domain(Role(papers("manuscript")), Named(papers("Researcher"))),
-            Range(Role(papers("manuscript")), Named(papers("Paper"))),
-            Domain(Role(papers("referee")), Named(papers("Reviewer"))),
-            Range(Role(papers("referee")), Named(papers("Paper"))),
+            Domain(papers("manuscript"), Named(papers("Researcher"))),
+            Range(papers("manuscript"), Named(papers("Paper"))),
+            Domain(papers("referee"), Named(papers("Reviewer"))),
+            Range(papers("referee"), Named(papers("Paper"))),
             DataDomain(papers("title"), Named(papers("Paper"))),
             DataRange(papers("title"), XSD_NS + "string"),
             DataDomain(papers("wordCount"), Named(papers("Paper"))),
@@ -656,9 +710,9 @@ class TestRenderedDocumentOrder:
     def test_cardinality_and_self_restrictions(self):
         a, b, p = f"{PAPERS}#A", f"{PAPERS}#B", f"{PAPERS}#p"
         ont = Ontology(iri=PAPERS, abox=frozenset(), tbox=frozenset({
-            SubClassOf(Named(a), MaxCard(2, Role(p), Thing())),
-            SubClassOf(Named(a), MaxCard(0, Role(p), Named(b))),
-            SubClassOf(Named(b), ExistsSelf(Role(p))),
+            SubClassOf(Named(a), MaxCard(2, p, Thing())),
+            SubClassOf(Named(a), MaxCard(0, p, Named(b))),
+            SubClassOf(Named(b), ExistsSelf(p)),
         }))
         doc = axioms_to_xml(ont)
         assert_document_order(doc)

@@ -19,7 +19,7 @@ from xqowl.owl import (
     And, Assertion, ClassAssertion, ClassExpr, DataAssertion, DataDomain,
     DataRange, DisjointClasses, DisjointRoles, Domain, EquivalentClasses,
     Exists, ExistsSelf, InverseRoles, MaxCard, Named, Nothing,
-    NOTHING_IRI, Ontology, Range, Role, RoleAssertion, RoleChain,
+    NOTHING_IRI, Ontology, Range, RoleAssertion, RoleChain,
     SubClassOf, SubRoleOf, Thing, class_of_iri, functional_axiom,
     irreflexive_axiom, load_ontology, symmetric_axiom,
 )
@@ -188,7 +188,7 @@ class TestClashKinds:
         assert saturate(ont).clashes == ()
 
     def test_cardinality_counts_only_qualified_fillers(self):
-        tbox = {SubClassOf(Thing(), MaxCard(1, Role(ex("p")), Named(ex("B"))))}
+        tbox = {SubClassOf(Thing(), MaxCard(1, ex("p"), Named(ex("B"))))}
         abox = {RoleAssertion(ex("a"), ex("p"), ex("b1")),
                 RoleAssertion(ex("a"), ex("p"), ex("b2")),
                 ClassAssertion(ex("b1"), Named(ex("B")))}
@@ -199,7 +199,7 @@ class TestClashKinds:
                         (ex("a"), ex("p"), ex("b1"), ex("b2"))),)
 
     def test_cardinality_applies_only_inside_its_context(self):
-        tbox = {SubClassOf(Named(ex("C")), MaxCard(1, Role(ex("p")), Thing()))}
+        tbox = {SubClassOf(Named(ex("C")), MaxCard(1, ex("p"), Thing()))}
         abox = {RoleAssertion(ex("a"), ex("p"), ex("b1")),
                 RoleAssertion(ex("a"), ex("p"), ex("b2"))}
         assert saturate(ont_of(tbox, abox)).clashes == ()
@@ -221,7 +221,7 @@ class TestClashKinds:
         assert saturate(ont).clashes == ()
 
     def test_cardinality_clashes_only_past_its_bound(self):
-        tbox = {SubClassOf(Named(ex("C")), MaxCard(2, Role(ex("p")), Thing()))}
+        tbox = {SubClassOf(Named(ex("C")), MaxCard(2, ex("p"), Thing()))}
         abox = {ClassAssertion(ex("a"), Named(ex("C"))),
                 RoleAssertion(ex("a"), ex("p"), ex("b1")),
                 RoleAssertion(ex("a"), ex("p"), ex("b2"))}
@@ -233,7 +233,7 @@ class TestClashKinds:
 
     def test_a_witness_neighbour_is_not_a_filler(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B")))),
+            tbox={SubClassOf(Named(ex("A")), Exists(ex("p"), Named(ex("B")))),
                   functional_axiom(ex("p"))},
             abox={ClassAssertion(ex("a"), Named(ex("A"))),
                   RoleAssertion(ex("a"), ex("p"), ex("b"))})
@@ -242,8 +242,8 @@ class TestClashKinds:
         assert sat.clashes == ()
 
     def test_disjoint_classes_with_no_named_side(self):
-        left = Exists(Role(ex("r")), Named(ex("A")))
-        right = Exists(Role(ex("s")), Named(ex("B")))
+        left = Exists(ex("r"), Named(ex("A")))
+        right = Exists(ex("s"), Named(ex("B")))
         ont = ont_of(
             tbox={DisjointClasses(left, right)},
             abox={RoleAssertion(ex("a"), ex("r"), ex("b")),
@@ -257,7 +257,7 @@ class TestClashKinds:
 
     def test_a_witness_in_nothing(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B")))),
+            tbox={SubClassOf(Named(ex("A")), Exists(ex("p"), Named(ex("B")))),
                   SubClassOf(Named(ex("B")), Nothing())},
             abox={ClassAssertion(ex("a"), Named(ex("A")))})
         sat = saturate(ont)
@@ -266,7 +266,7 @@ class TestClashKinds:
 
     def test_disjoint_roles_through_a_sub_role(self):
         ont = ont_of(
-            tbox={DisjointRoles(ex("p"), ex("q")), SubRoleOf(Role(ex("s")), Role(ex("q")))},
+            tbox={DisjointRoles(ex("p"), ex("q")), SubRoleOf(ex("s"), ex("q"))},
             abox={RoleAssertion(ex("a"), ex("p"), ex("b")),
                   RoleAssertion(ex("a"), ex("s"), ex("b"))})
         assert saturate(ont).clashes == (
@@ -276,18 +276,18 @@ class TestClashKinds:
 class TestWitnesses:
     def test_unsatisfied_existential_introduces_one_witness(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B"))))},
+            tbox={SubClassOf(Named(ex("A")), Exists(ex("p"), Named(ex("B"))))},
             abox={ClassAssertion(ex("a"), Named(ex("A")))})
         sat = saturate(ont)
         assert len(sat.fresh) == 1
         witness = next(iter(sat.fresh))
         assert (ex("a"), ex("p"), witness) in sat.role_facts
         assert (witness, ex("B")) in sat.class_facts
-        assert sat.check(ex("a"), Exists(Role(ex("p")), Named(ex("B"))))
+        assert sat.check(ex("a"), Exists(ex("p"), Named(ex("B"))))
 
     def test_satisfied_existential_introduces_no_witness(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B"))))},
+            tbox={SubClassOf(Named(ex("A")), Exists(ex("p"), Named(ex("B"))))},
             abox={ClassAssertion(ex("a"), Named(ex("A"))),
                   RoleAssertion(ex("a"), ex("p"), ex("b")),
                   ClassAssertion(ex("b"), Named(ex("B")))})
@@ -295,15 +295,15 @@ class TestWitnesses:
 
     def test_witnesses_never_spawn_further_witnesses(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B")))),
-                  SubClassOf(Named(ex("B")), Exists(Role(ex("p")), Named(ex("B"))))},
+            tbox={SubClassOf(Named(ex("A")), Exists(ex("p"), Named(ex("B")))),
+                  SubClassOf(Named(ex("B")), Exists(ex("p"), Named(ex("B"))))},
             abox={ClassAssertion(ex("a"), Named(ex("A")))})
         sat = saturate(ont)
         assert len(sat.fresh) == 1
 
     def test_witnesses_still_receive_atomic_superclasses(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B")))),
+            tbox={SubClassOf(Named(ex("A")), Exists(ex("p"), Named(ex("B")))),
                   SubClassOf(Named(ex("B")), Named(ex("C")))},
             abox={ClassAssertion(ex("a"), Named(ex("A")))})
         sat = saturate(ont)
@@ -312,7 +312,7 @@ class TestWitnesses:
 
     def test_witness_fillers_do_not_trip_cardinality(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Thing())),
+            tbox={SubClassOf(Named(ex("A")), Exists(ex("p"), Thing())),
                   functional_axiom(ex("p"))},
             abox={ClassAssertion(ex("a"), Named(ex("A")))})
         sat = saturate(ont)
@@ -322,7 +322,7 @@ class TestWitnesses:
     def test_inverse_existential_points_at_the_individual(self):
         ont = ont_of(
             tbox={InverseRoles(ex("p"), ex("q")),
-                  SubClassOf(Named(ex("A")), Exists(Role(ex("q")), Named(ex("B"))))},
+                  SubClassOf(Named(ex("A")), Exists(ex("q"), Named(ex("B"))))},
             abox={ClassAssertion(ex("a"), Named(ex("A")))})
         sat = saturate(ont)
         witness = next(iter(sat.fresh))
@@ -341,8 +341,8 @@ class TestWitnesses:
             abox |= {ClassAssertion(path[0], Named(ex("A"))),
                      ClassAssertion(path[3], Named(ex("B")))}
         sat = saturate(ont_of(
-            tbox={RoleChain(Role(r), Role(r), Role(r)),
-                  SubClassOf(Named(ex("A")), Exists(Role(r), Named(ex("B"))))},
+            tbox={RoleChain(r, r, r),
+                  SubClassOf(Named(ex("A")), Exists(r, Named(ex("B"))))},
             abox=abox))
         witnesses = [witness_name(("rule", 0, path[0])) for path in paths]
         assert sat.fresh == frozenset(witnesses)
@@ -355,7 +355,7 @@ class TestWitnesses:
         # Rules fire by index, then by individual: A <= r some C fires on a
         # before B <= C fires on the witness of A <= r some B, so a gets a
         # second witness for C.
-        r = Role(ex("r"))
+        r = ex("r")
         A, B, C = Named(ex("A")), Named(ex("B")), Named(ex("C"))
         sat = saturate(ont_of(
             tbox={SubClassOf(A, Exists(r, B)), SubClassOf(A, Exists(r, C)),
@@ -369,7 +369,7 @@ class TestWitnesses:
 
     def test_chain_composes_an_old_first_hop_with_a_new_second(self):
         # a -r-> x is asserted; x -s-> w appears only when A <= s some B fires
-        r, s, t = (Role(ex(n)) for n in "rst")
+        r, s, t = (ex(n) for n in "rst")
         ont = ont_of(tbox={RoleChain(r, s, t),
                            SubClassOf(Named(ex("A")), Exists(s, Named(ex("B"))))},
                      abox={RoleAssertion(ex("a"), ex("r"), ex("x")),
@@ -382,7 +382,7 @@ class TestWitnesses:
         # Round 2: some p.D <= D fires on a, then on b (b -p-> a) in the same
         # pass, so D <= q some E fires on b before F <= E gives e its E, and
         # b gets a witness although e would satisfy it one round later.
-        p, q = Role(ex("p")), Role(ex("q"))
+        p, q = ex("p"), ex("q")
         D, E, F, G, H = (Named(ex(n)) for n in "DEFGH")
         ont = ont_of(
             tbox={SubClassOf(Exists(p, D), D), SubClassOf(D, Exists(q, E)),
@@ -396,7 +396,7 @@ class TestWitnesses:
 
     def test_an_existential_is_asserted_again_once_its_filler_fails(self):
         # y satisfies max 0 s.B until C <= B types z, then x needs a witness
-        r, s = Role(ex("r")), Role(ex("s"))
+        r, s = ex("r"), ex("s")
         A, B, C = (Named(ex(n)) for n in "ABC")
         ont = ont_of(
             tbox={SubClassOf(A, Exists(r, MaxCard(0, s, B))), SubClassOf(C, B)},
@@ -410,7 +410,7 @@ class TestWitnesses:
         # the witness's birth makes rule 1 check the witness of rule 2
         C = Named(ex("C"))
         ont = ont_of(tbox={EquivalentClasses(C, Thing()),
-                           SubClassOf(Named(ex("A")), Exists(Role(ex("r")), Named(ex("B"))))},
+                           SubClassOf(Named(ex("A")), Exists(ex("r"), Named(ex("B"))))},
                      abox={ClassAssertion(ex("a"), Named(ex("A")))})
         witness = witness_name(("rule", 2, ex("a")))
         assert (witness, ex("C")) in saturate(ont).class_facts
@@ -420,13 +420,13 @@ class TestWitnesses:
         program = (
             "from xqowl.owl import *\n"
             "from xqowl.reasoner import saturate\n"
-            "r, q, A = Role('urn:ex:r'), Role('urn:ex:q'), Named('urn:ex:A')\n"
+            "r, q, A = 'urn:ex:r', 'urn:ex:q', Named('urn:ex:A')\n"
             "tbox = {InverseRoles('urn:ex:r', 'urn:ex:q'),\n"
             "        SubClassOf(A, And((Exists(r, A), Exists(q, A))))}\n"
             "abox = {ClassAssertion(f'urn:ex:i{k}', A) for k in range(20)}\n"
             "sat = saturate(Ontology('', frozenset(tbox), frozenset(abox)))\n"
             "print(sorted(sat.fresh))\n"
-            "print(sum(s in sat.fresh and o not in sat.fresh and p == r.iri\n"
+            "print(sum(s in sat.fresh and o not in sat.fresh and p == r\n"
             "          for s, p, o in sat.role_facts))\n")
         outputs = {run_cli(["-c", program], hashseed=seed).stdout for seed in (1, 2, 3)}
         assert len(outputs) == 1
@@ -449,7 +449,7 @@ class TestInstanceRetrieval:
 
     def test_complex_expression_instances(self, social_reasoner):
         confirmed_events = And((Named(sn("event")),
-                                Exists(Role(sn("confirmed_by")), Named(sn("user")))))
+                                Exists(sn("confirmed_by"), Named(sn("user")))))
         assert social_reasoner.instances(confirmed_events) == {sn("event1")}
 
     def test_membership_checks(self, social_reasoner):
@@ -486,7 +486,7 @@ class TestRoleQueries:
 
     def test_property_values_exclude_witnesses(self):
         ont = ont_of(
-            tbox={SubClassOf(Named(ex("A")), Exists(Role(ex("p")), Named(ex("B"))))},
+            tbox={SubClassOf(Named(ex("A")), Exists(ex("p"), Named(ex("B"))))},
             abox={ClassAssertion(ex("a"), Named(ex("A")))})
         assert Reasoner(ont).property_values(ex("a"), ex("p")) == set()
 
@@ -503,7 +503,7 @@ class TestSubsumption:
 
     def test_complex_subsumption_through_equivalence(self, social_reasoner):
         confirmed_events = And((Named(sn("event")),
-                                Exists(Role(sn("confirmed_by")), Named(sn("user")))))
+                                Exists(sn("confirmed_by"), Named(sn("user")))))
         assert social_reasoner.is_subsumed(confirmed_events, Named(sn("popular")))
 
     def test_nothing_and_thing_are_the_extremes(self, social_reasoner, social):
@@ -604,7 +604,7 @@ class TestClashAttribution:
     whose role-connected part holds it."""
 
     A, B, C, D, E, F, G, H = (ex(n) for n in "ABCDEFGH")
-    r = Role(ex("r"))
+    r = ex("r")
     ONT = ont_of([
         SubClassOf(Named(A), Exists(r, Named(B))),  # A's witness is in Nothing
         SubClassOf(Named(B), Nothing()),
@@ -685,7 +685,7 @@ class TestReasonerFacade:
 
 class TestDisplay:
     def test_class_expressions_render_compactly(self):
-        expr = And((Named(ex("A")), Exists(Role(ex("p")), Thing())))
+        expr = And((Named(ex("A")), Exists(ex("p"), Thing())))
         assert display_class(expr) == \
             "(urn:ex:A and (urn:ex:p some http://www.w3.org/2002/07/owl#Thing))"
 
@@ -729,7 +729,7 @@ def check_chain_composition(rng: random.Random) -> None:
     r, t = ex("r"), ex("t")
     abox = {RoleAssertion(rng.choice(INDIVIDUALS), r, rng.choice(INDIVIDUALS))
             for _ in range(rng.randint(2, 9))}
-    sat = saturate(ont_of({RoleChain(Role(r), Role(r), Role(t))}, abox))
+    sat = saturate(ont_of({RoleChain(r, r, t)}, abox))
     hops = role_pairs(sat, r)
     composed = {(a, c) for (a, b) in hops for (b2, c) in hops if b == b2}
     assert role_pairs(sat, t) == composed
@@ -810,11 +810,11 @@ def scan_check(sat, individual: str, expr: ClassExpr) -> bool:
         return all(scan_check(sat, individual, p) for p in expr.parts)
     if isinstance(expr, Exists):
         successors = (o for (s, r, o) in sat.role_facts
-                      if s == individual and r == expr.role.iri)
+                      if s == individual and r == expr.role)
         return any(scan_check(sat, b, expr.filler) for b in successors)
     if isinstance(expr, ExistsSelf):
-        return (individual, expr.role.iri, individual) in sat.role_facts
-    return len(scan_fillers(sat, individual, expr.role.iri, expr.filler)) <= expr.n
+        return (individual, expr.role, individual) in sat.role_facts
+    return len(scan_fillers(sat, individual, expr.role, expr.filler)) <= expr.n
 
 
 def scan_fillers(sat, individual: str, role: str, filler: ClassExpr) -> set[str]:
@@ -830,8 +830,8 @@ def check_index_against_scan(ont: Ontology) -> None:
     roles = sorted({r for (_, r, _) in sat.role_facts})
     fillers = [Thing()] + [Named(c) for c in sorted({c for (_, c) in sat.class_facts})]
     for role in roles:
-        exprs = [Exists(Role(role), filler) for filler in fillers]
-        exprs += [MaxCard(1, Role(role), filler) for filler in fillers]
+        exprs = [Exists(role, filler) for filler in fillers]
+        exprs += [MaxCard(1, role, filler) for filler in fillers]
         for individual in individuals:
             for expr in exprs:
                 assert sat.check(individual, expr) == \
@@ -926,9 +926,9 @@ class NaiveEngine(_Facts):
     def _compile(self, axiom) -> None:
         if isinstance(axiom, SubClassOf):
             if isinstance(axiom.sub, ExistsSelf) and isinstance(axiom.sup, Nothing):
-                self.irreflexive.add(axiom.sub.role.iri)
+                self.irreflexive.add(axiom.sub.role)
             elif isinstance(axiom.sup, MaxCard):
-                self.static_limits.append((axiom.sub, axiom.sup.n, axiom.sup.role.iri,
+                self.static_limits.append((axiom.sub, axiom.sup.n, axiom.sup.role,
                                            axiom.sup.filler))
             else:
                 self._class_rule(axiom.sub, axiom.sup)
@@ -936,9 +936,9 @@ class NaiveEngine(_Facts):
             self._class_rule(axiom.left, axiom.right)
             self._class_rule(axiom.right, axiom.left)
         elif isinstance(axiom, SubRoleOf):
-            self.subroles.setdefault(axiom.sub.iri, set()).add(axiom.sup.iri)
+            self.subroles.setdefault(axiom.sub, set()).add(axiom.sup)
         elif isinstance(axiom, RoleChain):
-            self.chains.append((axiom.first.iri, axiom.second.iri, axiom.implied.iri))
+            self.chains.append((axiom.first, axiom.second, axiom.implied))
         elif isinstance(axiom, InverseRoles):
             self.flips.setdefault(axiom.left, set()).add(axiom.right)
             self.flips.setdefault(axiom.right, set()).add(axiom.left)
@@ -947,9 +947,9 @@ class NaiveEngine(_Facts):
         elif isinstance(axiom, DisjointRoles):
             self.disjoint_roles.append((axiom.left, axiom.right))
         elif isinstance(axiom, Domain):
-            self.domains.append((axiom.role.iri, axiom.cls))
+            self.domains.append((axiom.role, axiom.cls))
         elif isinstance(axiom, Range):
-            self.ranges.append((axiom.role.iri, axiom.cls))
+            self.ranges.append((axiom.role, axiom.cls))
         elif isinstance(axiom, DataDomain):
             self.data_domains.append((axiom.prop, axiom.cls))
         elif not isinstance(axiom, DataRange):  # datatype ranges carry no rule
@@ -993,7 +993,7 @@ class NaiveEngine(_Facts):
             for position, part in enumerate(expr.parts):
                 self.assert_expr(individual, part, key + (position,), materialize)
         elif isinstance(expr, ExistsSelf):
-            self.add_role(individual, expr.role.iri, individual)
+            self.add_role(individual, expr.role, individual)
         elif isinstance(expr, Exists):
             if self.check(individual, expr) or not materialize:
                 return
@@ -1002,10 +1002,10 @@ class NaiveEngine(_Facts):
                 witness = witness_name(key)
                 self._witnesses[key] = witness
                 self.fresh.add(witness)
-            self.add_role(individual, expr.role.iri, witness)
+            self.add_role(individual, expr.role, witness)
             self.assert_expr(witness, expr.filler, key + ("filler",), True)
         elif isinstance(expr, MaxCard):
-            self.dynamic_limits.add((individual, expr.n, expr.role.iri, expr.filler))
+            self.dynamic_limits.add((individual, expr.n, expr.role, expr.filler))
         else:
             raise UnsupportedFeatureError(
                 "universal restrictions cannot be asserted")
@@ -1106,34 +1106,33 @@ def check_against_naive(ont: Ontology) -> None:
 
 ROLE_NAMES = (ex("r"), ex("s"))
 role_names = st.sampled_from(ROLE_NAMES)
-named_roles = role_names.map(Role)
 named_classes = st.sampled_from(CLASS_NAMES[:3]).map(Named)
 class_exprs = st.recursive(
     named_classes | st.just(Thing()),
-    lambda inner: st.builds(Exists, named_roles, inner)
+    lambda inner: st.builds(Exists, role_names, inner)
     | st.lists(inner, min_size=2, max_size=3).map(lambda parts: And(tuple(parts)))
-    | st.builds(MaxCard, st.integers(0, 1), named_roles, inner)
-    | named_roles.map(ExistsSelf),
+    | st.builds(MaxCard, st.integers(0, 1), role_names, inner)
+    | role_names.map(ExistsSelf),
     max_leaves=4)
-several_existentials = st.lists(st.builds(Exists, named_roles, class_exprs),
+several_existentials = st.lists(st.builds(Exists, role_names, class_exprs),
                                 min_size=2, max_size=3).map(lambda ps: And(tuple(ps)))
 axioms = st.one_of(
     st.builds(SubClassOf, class_exprs, class_exprs),
     st.builds(SubClassOf, named_classes, several_existentials),
     st.builds(EquivalentClasses, named_classes, class_exprs),
-    st.builds(RoleChain, named_roles, named_roles, named_roles),
-    st.builds(SubRoleOf, named_roles, named_roles),
+    st.builds(RoleChain, role_names, role_names, role_names),
+    st.builds(SubRoleOf, role_names, role_names),
     st.builds(InverseRoles, role_names, role_names),
     role_names.map(symmetric_axiom),
-    st.builds(Domain, named_roles, class_exprs),
-    st.builds(Range, named_roles, class_exprs),
+    st.builds(Domain, role_names, class_exprs),
+    st.builds(Range, role_names, class_exprs),
     st.builds(DataDomain, st.just(ex("d")), class_exprs),
     st.builds(DisjointClasses, class_exprs, class_exprs),
     st.builds(DisjointRoles, role_names, role_names),
     role_names.map(irreflexive_axiom),
     role_names.map(functional_axiom),
     st.builds(SubClassOf, class_exprs,
-              st.builds(MaxCard, st.integers(0, 2), named_roles, named_classes)))
+              st.builds(MaxCard, st.integers(0, 2), role_names, named_classes)))
 individuals = st.sampled_from(INDIVIDUALS[:4])
 assertions = st.one_of(
     st.builds(ClassAssertion, individuals, class_exprs),
@@ -1165,14 +1164,14 @@ class TestBareLeftSides:
     announce it, so its rule still checks every named individual, one with
     no assertion among them, and every witness."""
 
-    r, s = Role(ex("r")), Role(ex("s"))
+    r, s = ex("r"), ex("s")
     A, B, C, D = (Named(ex(n)) for n in "ABCD")
     LONELY = ex("lonely")
 
     def ontology(self, axiom) -> Ontology:
         ont = ont_of([axiom, SubClassOf(self.C, Exists(self.s, self.D))],
                      [ClassAssertion(INDIVIDUALS[0], self.C),
-                      RoleAssertion(INDIVIDUALS[1], self.r.iri, INDIVIDUALS[2])])
+                      RoleAssertion(INDIVIDUALS[1], self.r, INDIVIDUALS[2])])
         return replace(ont, individuals=frozenset({self.LONELY}))
 
     @pytest.mark.parametrize("lhs", [Thing(), MaxCard(0, r, A),
@@ -1191,4 +1190,4 @@ class TestBareLeftSides:
         assert sat == NaiveEngine(ont).result()
         for individual in ont.all_individuals():
             assert any(sat.check(w, self.B)
-                       for w in sat.neighbours(individual, self.r.iri, False))
+                       for w in sat.neighbours(individual, self.r, False))
